@@ -31,6 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro import kernels
 from repro.core.distance import amdf_pair_sums, amdf_profile
 from repro.core.engine import DetectionResult, LockTracker, tag_snapshot, validate_snapshot
 from repro.core.minima import PeriodCandidate, select_period
@@ -139,6 +140,9 @@ class DynamicPeriodicityDetector:
         elif kwargs:
             raise ValidationError("pass either a DetectorConfig or keyword options, not both")
         self.config = config
+        # Selection dispatches through the kernel registry: compile (when
+        # numba is active) now, never inside the first evaluating update.
+        kernels.warmup()
         self._window_size = config.window_size
         self._max_lag = config.effective_max_lag
         self._buffer = np.zeros(self._window_size, dtype=np.float64)

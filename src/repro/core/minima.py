@@ -10,6 +10,11 @@ complications are handled here:
 * **Shallow minima.**  Real traces (e.g. CPU-usage samples) never repeat
   exactly; a minimum only indicates a period when it is deep relative to
   the overall level of the profile.
+
+There is one selection: :func:`select_periods_batch` runs it in the
+active :mod:`repro.kernels` backend over a ``(streams, lags)`` profile
+matrix, and :func:`select_period` — the streaming detector's per-sample
+call — is its one-row case.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ import numpy as np
 
 from repro import kernels
 from repro.kernels.numpy_backend import (
-    best_candidate_index as _best_candidate_index,
     harmonic_kept_mask as _harmonic_kept_mask,
+    local_minima as _local_minima,
 )
 from repro.util.validation import check_positive
 
@@ -59,58 +64,6 @@ class PeriodCandidate:
             raise ValueError("lag must be positive")
 
 
-def _minima_arrays(
-    profile: np.ndarray, min_lag: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorised local-minimum search; returns (lags, distances, depths).
-
-    This runs on the per-sample hot path of the magnitude detector, so no
-    Python loop over lags is allowed and no candidate objects are built.
-    """
-    profile = np.asarray(profile, dtype=float)
-    n = profile.size
-    empty = (np.empty(0, dtype=np.int64), np.empty(0), np.empty(0))
-    finite_mask = np.isfinite(profile)
-    if not np.any(finite_mask):
-        return empty
-    # Padded sum over the full profile (zeros at non-finite lags), not a
-    # compacted fancy-indexed mean: this is the exact computation the
-    # batched 2-D search runs per row, so single-profile and batched
-    # selection stay bit-for-bit identical.
-    mean = float(np.where(finite_mask, profile, 0.0).sum() / finite_mask.sum())
-    eligible = finite_mask.copy()
-    eligible[: min(max(min_lag, 0), n)] = False
-    if not np.any(eligible):
-        return empty
-    values = profile
-    # Neighbour values, with +inf standing in for neighbours outside the
-    # eligible lag set (so endpoints qualify when below their one
-    # neighbour).
-    left = np.full(n, np.inf)
-    left[1:] = np.where(eligible[:-1], values[:-1], np.inf)
-    right = np.full(n, np.inf)
-    right[:-1] = np.where(eligible[1:], values[1:], np.inf)
-    with np.errstate(invalid="ignore"):
-        is_min = eligible & (values <= left) & (values <= right)
-        # Plateau handling: skip a lag when the previous lag had the same
-        # value and was itself a minimum (keep only the first of a
-        # plateau).
-        plateau = np.zeros(n, dtype=bool)
-        plateau[1:] = eligible[:-1] & (values[:-1] == values[1:]) & (
-            left[1:] <= right[1:]
-        )
-    is_min &= ~plateau
-    lags = np.nonzero(is_min)[0]
-    if lags.size == 0:
-        return empty
-    found = values[lags]
-    if mean > 0:
-        depths = 1.0 - found / mean
-    else:
-        depths = np.where(found == 0, 1.0, 0.0)
-    return lags, found, depths
-
-
 def find_local_minima(profile: np.ndarray, *, min_lag: int = 1) -> list[PeriodCandidate]:
     """Return every local minimum of ``profile`` as a candidate period.
 
@@ -120,10 +73,12 @@ def find_local_minima(profile: np.ndarray, *, min_lag: int = 1) -> list[PeriodCa
     below their single neighbour, so that a monotonically decreasing
     profile still yields its final lag as a candidate.
     """
-    lags, found, depths = _minima_arrays(profile, min_lag)
+    _, lags, found, depths = _local_minima(
+        np.asarray(profile, dtype=float)[None, :], min_lag
+    )
     return [
-        PeriodCandidate(lag=int(lag), distance=float(value), depth=float(depth))
-        for lag, value, depth in zip(lags, found, depths)
+        PeriodCandidate(lag=lag, distance=value, depth=depth)
+        for lag, value, depth in zip(lags.tolist(), found.tolist(), depths.tolist())
     ]
 
 
@@ -168,21 +123,22 @@ def select_period(
     """Select the period reported by the DPD from a distance profile.
 
     The deepest non-harmonic local minimum whose relative depth is at least
-    ``min_depth`` is returned; ``None`` when no minimum qualifies (the
-    stream is considered aperiodic over the current window).
+    ``min_depth`` is returned (ties go to the smaller lag); ``None`` when no
+    minimum qualifies (the stream is considered aperiodic over the current
+    window).  This is :func:`select_periods_batch` on a one-row matrix, so
+    the single-stream detector and the lockstep banks share one selection;
+    like it, ``min_lag`` must be at least 1 (``ValueError`` otherwise).
     """
-    check_positive(harmonic_tolerance + 1e-12, "harmonic_tolerance")
-    lags, found, depths = _minima_arrays(profile, min_lag)
-    keep = depths >= min_depth
-    if not np.any(keep):
+    lags, distances, depths = select_periods_batch(
+        np.asarray(profile, dtype=float)[None, :],
+        min_lag=min_lag,
+        min_depth=min_depth,
+        harmonic_tolerance=harmonic_tolerance,
+    )
+    if lags[0] == 0:
         return None
-    lags, found, depths = lags[keep], found[keep], depths[keep]
-    # Deepest non-harmonic minimum wins; ties broken in favour of the
-    # smaller lag (the fundamental) so that exact multiples never
-    # displace the fundamental.
-    best = _best_candidate_index(lags, depths, harmonic_tolerance)
     return PeriodCandidate(
-        lag=int(lags[best]), distance=float(found[best]), depth=float(depths[best])
+        lag=int(lags[0]), distance=float(distances[0]), depth=float(depths[0])
     )
 
 
@@ -193,16 +149,14 @@ def select_periods_batch(
     min_depth: float = 0.25,
     harmonic_tolerance: float = 0.15,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run :func:`select_period` over every row of a profile matrix at once.
+    """Select the period of every row of a profile matrix at once.
 
     ``profiles`` has shape ``(streams, lags)`` — the layout of the
-    structure-of-arrays lockstep bank, whose per-evaluation Python loop
-    over streams this replaces (the ROADMAP's magnitude-lockstep
-    bottleneck).  The search itself runs in the active
-    :mod:`repro.kernels` backend — a fused ``@njit`` row kernel when
-    numba is installed, the vectorised whole-matrix NumPy reference
-    otherwise; every backend is bit-for-bit identical to the scalar
-    :func:`select_period` per row.
+    structure-of-arrays lockstep bank; :func:`select_period` is the
+    one-row case.  The search runs in the active :mod:`repro.kernels`
+    backend — a fused ``@njit`` row kernel when numba is installed, the
+    compact-candidate NumPy reference otherwise; every backend is
+    bit-for-bit identical per row.
 
     Returns
     -------
@@ -214,9 +168,8 @@ def select_periods_batch(
     """
     check_positive(harmonic_tolerance + 1e-12, "harmonic_tolerance")
     if min_lag < 1:
-        # Lag 0 is the no-candidate marker of the batched result; the
-        # scalar path cannot select it either (PeriodCandidate rejects
-        # non-positive lags).
+        # Lag 0 is the no-candidate marker of the batched result (and
+        # PeriodCandidate rejects non-positive lags).
         raise ValueError(f"min_lag must be >= 1, got {min_lag}")
     P = np.asarray(profiles, dtype=float)
     if P.ndim != 2:

@@ -26,9 +26,10 @@ Selection is driven by the ``REPRO_KERNELS`` environment variable
 equivalent, float state included, so switching backends can never
 change detector behaviour — only speed.
 
-Call :func:`warmup` once per process (the pool constructor and the
-sharded worker bootstrap both do) so numba's lazy-dispatch compilation
-happens at start-up, never inside a latency-sensitive ingest.
+Call :func:`warmup` once per process (the pool constructor, the sharded
+worker bootstrap and the magnitude detector's constructor all do) so
+numba's lazy-dispatch compilation happens at start-up, never inside a
+latency-sensitive ingest or ``dpd()`` call.
 """
 
 from __future__ import annotations

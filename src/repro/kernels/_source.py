@@ -107,7 +107,7 @@ def select_rows(
 ) -> None:
     """Row-wise period selection over a ``(streams, lags)`` profile matrix.
 
-    The fused scalar form of ``select_period`` per row: local-minimum
+    The fused per-row form of the period selection: local-minimum
     search (with the plateau rule), relative-depth computation against
     the precomputed row mean, the ``min_depth`` gate, the harmonic
     filter and the deepest-then-smallest-lag tie break — one pass per

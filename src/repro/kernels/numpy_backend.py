@@ -3,14 +3,18 @@
 This backend is the portable fallback of the registry in
 :mod:`repro.kernels` — always importable, no compiled dependencies —
 and the *reference* the compiled backends are held to: the equivalence
-contract is bit-for-bit against these functions (which are themselves
-bit-for-bit against the scalar engines; see the hypothesis suites in
-``tests/core/test_minima_batch.py`` and ``tests/service/test_soa.py``).
+contract is bit-for-bit against these functions.  They in turn are held
+to test-side oracles written as plain loops: the scalar engines for the
+AMDF and mismatch recurrences (``tests/service/test_soa.py``) and the
+literal selection reference ``tests/_selection_oracle.py`` for the
+period selection (``tests/core/test_minima_batch.py``,
+``tests/core/test_detector_oracle.py``).
 
-The code is the vectorised hot-path implementation that previously
-lived inline in :mod:`repro.core.minima`, :mod:`repro.service.soa` and
-:mod:`repro.service.event_soa`, extracted verbatim so every backend
-sits behind one dispatch seam.
+The period selection here is also the single-stream one:
+:func:`repro.core.minima.select_period` runs it on a one-row matrix,
+and :func:`repro.core.minima.find_local_minima` and
+:func:`~repro.core.minima.filter_harmonics` reuse its minima pass and
+harmonic mask.
 """
 
 from __future__ import annotations
@@ -103,7 +107,7 @@ def event_step_mismatches(
 
 
 # ----------------------------------------------------------------------
-# (b) whole-matrix period selection
+# (b) compact-candidate period selection
 # ----------------------------------------------------------------------
 def harmonic_kept_mask(
     lags: np.ndarray, depths: np.ndarray, tolerance: float
@@ -111,8 +115,7 @@ def harmonic_kept_mask(
     """Harmonic-filter survivor mask over lag-sorted candidate arrays.
 
     The array-level core of :func:`repro.core.minima.filter_harmonics`,
-    shared with the batched selection so both paths keep identical
-    candidates.
+    shared with the period selection so both keep identical candidates.
     """
     # suppresses[i, j]: candidate i, *if kept*, drops candidate j.
     ratio_exact = (lags[None, :] % lags[:, None]) == 0
@@ -136,82 +139,86 @@ def best_candidate_index(
 
     Applies the harmonic filter, then picks the deepest survivor with
     ties broken in favour of the smaller lag — exactly the
-    ``min(candidates, key=(-depth, lag))`` rule of
-    :func:`repro.core.minima.select_period`.
+    ``min(candidates, key=(-depth, lag))`` rule of the selection.
     """
     kept = np.flatnonzero(harmonic_kept_mask(lags, depths, tolerance))
     order = np.lexsort((lags[kept], -depths[kept]))
     return int(kept[order[0]])
 
 
-def _minima_matrix(
-    profiles: np.ndarray, min_lag: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise local-minimum search; returns ``(is_min, depths)`` matrices.
 
-    The 2-D lift of the scalar search in
-    :func:`repro.core.minima.find_local_minima`: every comparison and
-    the per-row profile mean are the same expressions evaluated along
-    ``axis=1``, so row ``s`` of the result is bit-for-bit the 1-D
-    search over ``profiles[s]``.
+
+def local_minima(
+    P: np.ndarray, min_lag: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Compact row-wise local-minimum search over a profile matrix.
+
+    Returns ``(rows, lags, values, depths)``, one entry per local
+    minimum in row-major order.  Non-finite entries and lags below
+    ``min_lag`` are ignored; a minimum is not larger than either
+    neighbour (a missing neighbour counts as ``+inf``, so endpoints
+    qualify) and a plateau reports its first lag only.  The depth is
+    ``1 - d(m) / mean`` against the row mean of the finite entries,
+    computed with the one order-sensitive expression every backend
+    shares (see :mod:`repro.kernels._rowwise`).
     """
-    P = np.asarray(profiles, dtype=float)
     streams, n = P.shape
+    lo = min(max(min_lag, 0), n)
     finite = np.isfinite(P)
-    counts = finite.sum(axis=1)
-    means = np.where(finite, P, 0.0).sum(axis=1) / np.maximum(counts, 1)
-    eligible = finite.copy()
-    eligible[:, : min(max(min_lag, 0), n)] = False
-    left = np.full((streams, n), np.inf)
-    left[:, 1:] = np.where(eligible[:, :-1], P[:, :-1], np.inf)
-    right = np.full((streams, n), np.inf)
-    right[:, :-1] = np.where(eligible[:, 1:], P[:, 1:], np.inf)
-    with np.errstate(invalid="ignore"):
-        is_min = eligible & (P <= left) & (P <= right)
-        plateau = np.zeros((streams, n), dtype=bool)
-        plateau[:, 1:] = eligible[:, :-1] & (P[:, :-1] == P[:, 1:]) & (
-            left[:, 1:] <= right[:, 1:]
-        )
-    is_min &= ~plateau
-    mean_col = means[:, None]
-    positive = mean_col > 0
-    with np.errstate(invalid="ignore", divide="ignore"):
+    means = np.where(finite, P, 0.0).sum(axis=1) / np.maximum(finite.sum(axis=1), 1)
+    # The rows' eligible values laid end to end in one flat buffer, each
+    # row followed by a +inf and the first preceded by one.  +inf also
+    # stands in for every ineligible lag: such a lag is never a minimum,
+    # and as a neighbour it never blocks one.
+    width = n - lo + 1
+    flat = np.full(streams * width + 2, np.inf)
+    np.copyto(
+        flat[1:-1].reshape(streams, width)[:, :-1], P[:, lo:], where=finite[:, lo:]
+    )
+    mid = flat[1:-1]
+    # Strictly below the left neighbour: a lag equal to it continues a
+    # plateau whose first lag is the one reported.
+    found = np.flatnonzero((mid < flat[:-2]) & (mid <= flat[2:]))
+    rows, cols = np.divmod(found, width)
+    values = mid[found]
+    mean = means[rows]
+    positive = mean > 0
+    if positive.all():
+        depths = 1.0 - values / mean
+    else:
         depths = np.where(
             positive,
-            1.0 - P / np.where(positive, mean_col, 1.0),
-            np.where(P == 0, 1.0, 0.0),
+            1.0 - values / np.where(positive, mean, 1.0),
+            np.where(values == 0, 1.0, 0.0),
         )
-    return is_min, depths
+    return rows, cols + lo, values, depths
 
 
 def select_periods_batch_impl(
     P: np.ndarray, min_lag: int, min_depth: float, harmonic_tolerance: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Whole-matrix period selection (see ``minima.select_periods_batch``).
+    """Compact-candidate period selection (see ``minima.select_periods_batch``).
 
-    The local-minimum search, depth computation and ``min_depth`` gate
-    run as single whole-matrix passes; two sufficient-condition fast
-    paths settle ~all rows of a locked periodic fleet without per-row
-    Python, and only rows with genuinely competing minima pay the
-    compact-array harmonic resolution.
+    One whole-matrix pass finds the local minima; everything after runs
+    on the compact ``(row, lag)`` arrays of the minima that pass the
+    ``min_depth`` gate — a few dozen of a thousand lags on a periodic
+    profile.  Two sufficient-condition fast paths settle ~all rows of a
+    locked periodic stream without per-row Python; only rows with
+    genuinely competing minima pay the harmonic resolution of
+    :func:`best_candidate_index`.
     """
     streams = P.shape[0]
     out_lags = np.zeros(streams, dtype=np.int64)
     out_dist = np.zeros(streams, dtype=np.float64)
     out_depth = np.zeros(streams, dtype=np.float64)
-    if P.shape[1] == 0:
+    rows, lags, values, depths = local_minima(P, min_lag)
+    keep = depths >= min_depth
+    if not keep.all():
+        rows, lags, values, depths = rows[keep], lags[keep], values[keep], depths[keep]
+    if rows.size == 0:
         return out_lags, out_dist, out_depth
-    is_min, depths = _minima_matrix(P, min_lag)
-    with np.errstate(invalid="ignore"):
-        qualifies = is_min & (depths >= min_depth)
-    has_any = qualifies.any(axis=1)
-    if not has_any.any():
-        return out_lags, out_dist, out_depth
-    # Whole-matrix fast paths: two sufficient conditions, each settling a
-    # row with no per-row Python, together covering essentially every
-    # evaluation of a locked periodic stream (minima at p, 2p, 3p, ...
-    # plus the odd shallow spurious minimum); only rows with genuinely
-    # competing minima pay the compact-array resolution below.
+    tol = harmonic_tolerance
+    # The fast paths, per row (a segment of the compact arrays):
     #
     # (A) Let m0 be the row's smallest qualifying lag.  Nothing can
     #     suppress m0 (suppression needs a smaller kept lag), so m0
@@ -225,43 +232,46 @@ def select_periods_batch_impl(
     #     divisor of j* is deep enough to suppress it (kept lags are a
     #     subset of qualifying ones, so this is conservative), j*
     #     survives the filter, and as the pre-filter deepest it wins.
-    first = qualifies.argmax(axis=1)
-    lag_grid = np.arange(P.shape[1], dtype=np.int64)
-    m0 = np.maximum(first, 1)[:, None]
-    d0 = depths[np.arange(streams), first][:, None]
-    with np.errstate(invalid="ignore"):
-        multiple = lag_grid[None, :] % m0 == 0
-        explained = np.where(
-            multiple, depths <= d0 + harmonic_tolerance, depths <= d0
-        )
-        fast_a = has_any & np.all(explained | ~qualifies, axis=1)
-        masked = np.where(qualifies, depths, -np.inf)
-        dmax = masked.max(axis=1)
-        jstar = (masked == dmax[:, None]).argmax(axis=1)
-        divisor = (
-            (np.maximum(jstar, 1)[:, None] % np.maximum(lag_grid, 1)[None, :] == 0)
-            & (lag_grid[None, :] < jstar[:, None])
-        )
-        threat = qualifies & divisor & (depths + harmonic_tolerance >= dmax[:, None])
-        fast_b = has_any & ~fast_a & ~threat.any(axis=1)
+    #
     # When A and B both hold they provably agree, so precedence is moot.
-    for rows, best_fast in (
-        (np.flatnonzero(fast_a), first),
-        (np.flatnonzero(fast_b), jstar),
-    ):
-        best = best_fast[rows]
-        out_lags[rows] = best
-        out_dist[rows] = P[rows, best]
-        out_depth[rows] = depths[rows, best]
-    for row in np.flatnonzero(has_any & ~fast_a & ~fast_b):
-        cols = np.flatnonzero(qualifies[row])
-        if cols.size == 1:
-            best = cols[0]
+    if rows[0] == rows[-1]:
+        # One row: the same tests as whole-array reductions.
+        d0 = depths[0]
+        if np.where(lags % lags[0] == 0, depths <= d0 + tol, depths <= d0).all():
+            best = 0
         else:
-            best = cols[best_candidate_index(
-                cols.astype(np.int64), depths[row, cols], harmonic_tolerance
-            )]
-        out_lags[row] = best
-        out_dist[row] = P[row, best]
-        out_depth[row] = depths[row, best]
+            best = int(depths.argmax())
+            jstar, dmax = lags[best], depths[best]
+            if ((lags < jstar) & (jstar % lags == 0) & (depths + tol >= dmax)).any():
+                best = best_candidate_index(lags, depths, tol)
+        out_lags[rows[0]] = lags[best]
+        out_dist[rows[0]] = values[best]
+        out_depth[rows[0]] = depths[best]
+        return out_lags, out_dist, out_depth
+    new_row = np.empty(rows.size, dtype=bool)
+    new_row[0] = True
+    np.not_equal(rows[1:], rows[:-1], out=new_row[1:])
+    starts = np.flatnonzero(new_row)
+    ends = np.append(starts[1:], rows.size)
+    seg = np.cumsum(new_row) - 1
+    d0 = depths[starts][seg]
+    explained = np.where(lags % lags[starts][seg] == 0, depths <= d0 + tol, depths <= d0)
+    fast_a = np.logical_and.reduceat(explained, starts)
+    dmax = np.maximum.reduceat(depths, starts)[seg]
+    tops = np.flatnonzero(depths == dmax)
+    top_seg = seg[tops]
+    first_top = np.ones(tops.size, dtype=bool)
+    np.not_equal(top_seg[1:], top_seg[:-1], out=first_top[1:])
+    jbest = tops[first_top]
+    jstar = lags[jbest][seg]
+    threat = (lags < jstar) & (jstar % lags == 0) & (depths + tol >= dmax)
+    fast_b = ~np.logical_or.reduceat(threat, starts)
+    best = np.where(fast_a, starts, jbest)
+    for s in np.flatnonzero(~fast_a & ~fast_b):
+        lo, hi = starts[s], ends[s]
+        best[s] = lo + best_candidate_index(lags[lo:hi], depths[lo:hi], tol)
+    out_rows = rows[starts]
+    out_lags[out_rows] = lags[best]
+    out_dist[out_rows] = values[best]
+    out_depth[out_rows] = depths[best]
     return out_lags, out_dist, out_depth

@@ -5,8 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _selection_oracle as oracle
 from repro.core.distance import amdf_profile
 from repro.core.minima import PeriodCandidate, filter_harmonics, find_local_minima, select_period
+
+
+def fields(candidate):
+    return None if candidate is None else (candidate.lag, candidate.distance, candidate.depth)
+
+
+def matches_oracle(profile, **options):
+    """``select_period`` equals the literal reference, bit for bit."""
+    return fields(select_period(profile, **options)) == fields(
+        oracle.select_period(profile, **options)
+    )
 
 
 def profile_for(pattern, repetitions, max_lag, noise=0.0, seed=0):
@@ -36,6 +48,24 @@ class TestFindLocalMinima:
         profile = profile_for([0, 1], 10, 10)
         lags = {c.lag for c in find_local_minima(profile, min_lag=3)}
         assert 2 not in lags
+
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.just(np.nan),
+                st.integers(min_value=0, max_value=4).map(float),
+                st.floats(min_value=0.0, max_value=10.0),
+            ),
+            max_size=40,
+        ),
+        min_lag=st.integers(min_value=1, max_value=5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_loop_oracle(self, values, min_lag):
+        profile = np.array(values, dtype=float)
+        got = find_local_minima(profile, min_lag=min_lag)
+        expected = oracle.find_local_minima(profile, min_lag=min_lag)
+        assert [fields(c) for c in got] == [fields(c) for c in expected]
 
     def test_candidate_requires_positive_lag(self):
         with pytest.raises(ValueError):
@@ -68,22 +98,6 @@ class TestFilterHarmonics:
         assert filter_harmonics([]) == []
 
 
-def _filter_harmonics_loop(candidates, *, tolerance=0.15):
-    """The pre-vectorisation O(k^2) Python loop, kept as the test oracle."""
-    by_lag = sorted(candidates, key=lambda c: c.lag)
-    kept = []
-    for cand in by_lag:
-        is_harmonic = False
-        for base in kept:
-            if cand.lag % base.lag == 0 and cand.lag != base.lag:
-                if cand.depth <= base.depth + tolerance:
-                    is_harmonic = True
-                    break
-        if not is_harmonic:
-            kept.append(cand)
-    return kept
-
-
 class TestFilterHarmonicsMatchesLoop:
     """Property: the broadcast implementation equals the loop oracle."""
 
@@ -106,7 +120,7 @@ class TestFilterHarmonicsMatchesLoop:
             for lag, depth in lag_depths
         ]
         got = filter_harmonics(cands, tolerance=tolerance)
-        expected = _filter_harmonics_loop(cands, tolerance=tolerance)
+        expected = oracle.filter_harmonics_loop(cands, tolerance=tolerance)
         assert [(c.lag, c.depth) for c in got] == [(c.lag, c.depth) for c in expected]
 
     def test_matches_loop_on_random_profiles(self):
@@ -118,7 +132,7 @@ class TestFilterHarmonicsMatchesLoop:
             profile = amdf_profile(window, min(48, window.size - 1))
             cands = find_local_minima(profile)
             got = filter_harmonics(cands)
-            expected = _filter_harmonics_loop(cands)
+            expected = oracle.filter_harmonics_loop(cands)
             assert [c.lag for c in got] == [c.lag for c in expected], trial
 
     def test_dropped_harmonic_does_not_suppress(self):
@@ -139,18 +153,21 @@ class TestSelectPeriod:
         choice = select_period(profile)
         assert choice is not None
         assert choice.lag == 6
+        assert matches_oracle(profile)
 
     def test_returns_none_for_aperiodic(self, rng):
         window = rng.normal(size=128)
         profile = amdf_profile(window, 60)
         choice = select_period(profile, min_depth=0.5)
         assert choice is None
+        assert matches_oracle(profile, min_depth=0.5)
 
     def test_noisy_periodic_signal(self):
         profile = profile_for(np.arange(9), 10, 40, noise=0.05, seed=3)
         choice = select_period(profile, min_depth=0.2)
         assert choice is not None
         assert choice.lag == 9
+        assert matches_oracle(profile, min_depth=0.2)
 
     def test_min_depth_threshold(self):
         profile = profile_for([0, 3, 1, 4, 2], 8, 20)
@@ -159,3 +176,12 @@ class TestSelectPeriod:
         flat = np.ones(20)
         flat[0] = np.nan
         assert select_period(flat, min_depth=0.5) is None
+        assert matches_oracle(profile, min_depth=0.99)
+        assert matches_oracle(flat, min_depth=0.5)
+
+    def test_min_lag_must_be_positive(self):
+        # select_period is the batched kernel on one row, whose result
+        # uses lag 0 as its no-period marker.
+        profile = profile_for([0, 3, 1, 4, 2], 8, 20)
+        with pytest.raises(ValueError, match="min_lag"):
+            select_period(profile, min_lag=0)

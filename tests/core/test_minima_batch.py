@@ -1,11 +1,11 @@
-"""Property tests: batched period selection == the per-stream oracle.
+"""Property tests: batched period selection == the literal oracle.
 
-``select_periods_batch`` replaces the magnitude bank's per-stream
-``select_period`` loop with whole-matrix passes; the ROADMAP's lockstep
-bottleneck only moves safely if every row of the batched result is
-*exactly* what the scalar call would have produced — including NaN
-padding, plateau handling, the ``min_depth`` gate, harmonic suppression
-and the deepest-then-smallest-lag tie break.
+``select_periods_batch`` is the one period selection: the magnitude
+bank runs it over its whole profile matrix and ``select_period`` over a
+one-row matrix.  Every row of its result must be *exactly* what the
+Python-loop reference in ``tests/_selection_oracle.py`` produces —
+including NaN padding, plateau handling, the ``min_depth`` gate,
+harmonic suppression and the deepest-then-smallest-lag tie break.
 """
 
 import numpy as np
@@ -13,24 +13,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.minima import select_period, select_periods_batch
-
-
-def oracle_rows(matrix, *, min_lag, min_depth, harmonic_tolerance):
-    out = []
-    for row in matrix:
-        candidate = select_period(
-            row,
-            min_lag=min_lag,
-            min_depth=min_depth,
-            harmonic_tolerance=harmonic_tolerance,
-        )
-        out.append(
-            (0, 0.0, 0.0)
-            if candidate is None
-            else (candidate.lag, candidate.distance, candidate.depth)
-        )
-    return out
+import _selection_oracle as oracle
+from repro.core.distance import amdf_profile
+from repro.core.minima import select_periods_batch
 
 
 @st.composite
@@ -76,7 +61,7 @@ class TestBatchEqualsOracle:
         lags, distances, depths = select_periods_batch(
             matrix, min_lag=min_lag, min_depth=min_depth, harmonic_tolerance=tolerance
         )
-        expected = oracle_rows(
+        expected = oracle.select_rows(
             matrix, min_lag=min_lag, min_depth=min_depth, harmonic_tolerance=tolerance
         )
         got = list(zip(lags.tolist(), distances.tolist(), depths.tolist()))
@@ -91,6 +76,36 @@ class TestBatchEqualsOracle:
         matrix = np.stack([profile, profile * 2.0, np.full(41, np.nan)])
         selected, _, _ = select_periods_batch(matrix, min_lag=2)
         assert selected.tolist() == [5, 5, 0]
+
+    @pytest.mark.parametrize("min_depth", [0.1, 0.25])
+    @pytest.mark.parametrize("tolerance", [0.0, 0.15, 0.3])
+    def test_phase_jumped_noisy_profiles_match_the_oracle(
+        self, kernel_backend, min_depth, tolerance
+    ):
+        # Real AMDF profiles of windows that jump phase part-way and carry
+        # noise: competing minima and near-threshold harmonics, many rows
+        # at once, so every row segment meets both fast paths and the
+        # slow resolution.
+        rng = np.random.default_rng(5)
+        rows = []
+        for _ in range(120):
+            pattern = rng.integers(0, 6, size=rng.integers(2, 16)).astype(float)
+            jump = rng.integers(8, 56)
+            shifted = np.roll(pattern, rng.integers(1, pattern.size))
+            window = np.concatenate(
+                (np.resize(pattern, jump), np.resize(shifted, 64 - jump))
+            )
+            window += rng.normal(0.0, rng.choice([0.0, 0.05, 0.3]), 64)
+            rows.append(amdf_profile(window, 48))
+        matrix = np.array(rows)
+        lags, distances, depths = select_periods_batch(
+            matrix, min_depth=min_depth, harmonic_tolerance=tolerance
+        )
+        expected = oracle.select_rows(
+            matrix, min_lag=1, min_depth=min_depth, harmonic_tolerance=tolerance
+        )
+        got = list(zip(lags.tolist(), distances.tolist(), depths.tolist()))
+        assert got == expected
 
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):

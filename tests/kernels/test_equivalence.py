@@ -13,8 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import _selection_oracle as oracle
 from repro import kernels
-from repro.core.minima import select_period
 from repro.kernels import numpy_backend
 
 TINY = np.finfo(np.float64).tiny  # smallest normal; /8 gives denormals
@@ -171,20 +171,18 @@ class TestSelectionKernel:
         got = backend.select_periods_batch_impl(P, min_lag, min_depth, tolerance)
         for g, e in zip(got, expected):
             np.testing.assert_array_equal(g, e)
-        # And both must equal the scalar per-row oracle, bit for bit.
-        for s in range(streams):
-            candidate = select_period(
-                P[s],
-                min_lag=min_lag,
-                min_depth=min_depth,
-                harmonic_tolerance=tolerance,
+        # And both must equal the literal per-row oracle, bit for bit.
+        for s, (lag, distance, depth) in enumerate(
+            oracle.select_rows(
+                P, min_lag=min_lag, min_depth=min_depth, harmonic_tolerance=tolerance
             )
-            if candidate is None:
+        ):
+            if lag == 0:
                 assert got[0][s] == 0
             else:
-                assert got[0][s] == candidate.lag
-                assert got[1][s] == candidate.distance
-                assert got[2][s] == candidate.depth
+                assert got[0][s] == lag
+                assert got[1][s] == distance
+                assert got[2][s] == depth
 
     def test_exact_tie_breaks_toward_the_smaller_lag(self, backend):
         # Two equally deep non-harmonic minima (lags 4 and 7): the

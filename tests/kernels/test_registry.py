@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import kernels
+from repro.core.detector import DetectorConfig, DynamicPeriodicityDetector
 from repro.service.pool import DetectorPool, PoolConfig
 from repro.service.sharding import ShardedDetectorPool, ShardingConfig
 from repro.traces.synthetic import noisy_periodic_signal
@@ -74,6 +75,15 @@ class TestWarmup:
     def test_pool_constructor_warms_up_and_reports_backend(self, kernel_backend):
         pool = DetectorPool(PoolConfig(mode="event", window_size=32))
         assert pool.stats().kernel_backend == kernel_backend
+
+    def test_detector_constructor_warms_up_the_active_backend(
+        self, kernel_backend, monkeypatch
+    ):
+        # The scalar DPD selects through the registry: its first
+        # evaluating update must never be the one that compiles.
+        monkeypatch.setattr(kernels, "_warmed", set())
+        DynamicPeriodicityDetector(DetectorConfig(window_size=16))
+        assert kernel_backend in kernels._warmed
 
     def test_sharded_stats_merge_the_worker_backend(self, kernel_backend):
         config = PoolConfig(mode="event", window_size=32)
