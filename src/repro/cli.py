@@ -510,9 +510,6 @@ def _cmd_pool(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    import asyncio
-    import signal
-
     from repro.server.server import DetectionServer, ServerConfig, build_pool
     from repro.util.validation import ValidationError
 
@@ -556,8 +553,7 @@ def _cmd_serve(args) -> int:
             pool.close()
         return 2
 
-    async def run() -> None:
-        await server.start()
+    def banner() -> str:
         layout = f", sharded x{args.workers} workers" if args.workers >= 2 else ""
         if args.state_dir:
             restored = server.restore_stats or {}
@@ -570,24 +566,13 @@ def _cmd_serve(args) -> int:
             layout += ", TLS"
         if args.auth_token or args.auth_token_file:
             layout += ", token auth"
-        print(f"repro detection server listening on {server.host}:{server.port} "
-              f"(mode={args.mode}, window={args.window}{layout})", flush=True)
-        stop_requested = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            loop.add_signal_handler(signum, stop_requested.set)
-        await stop_requested.wait()
-        print("draining and shutting down ...", flush=True)
-        await server.stop()
+        return (f"repro detection server listening on {server.host}:{server.port} "
+                f"(mode={args.mode}, window={args.window}{layout})")
 
-    asyncio.run(run())
-    return 0
+    return _run_until_signal(server, banner, "draining and shutting down ...")
 
 
 def _cmd_route(args) -> int:
-    import asyncio
-    import signal
-
     from repro.server.router import DetectionRouter, RouterConfig
     from repro.util.validation import ValidationError
 
@@ -615,20 +600,32 @@ def _cmd_route(args) -> int:
         print(f"route: {exc}", file=sys.stderr)
         return 2
 
-    async def run() -> None:
-        await router.start()
+    def banner() -> str:
         security = ", TLS" if args.tls_cert else ""
         if args.auth_token or args.auth_token_file:
             security += ", token auth"
-        print(f"repro detection router listening on {router.host}:{router.port} "
-              f"(backends: {', '.join(router.backends)}{security})", flush=True)
+        return (f"repro detection router listening on {router.host}:{router.port} "
+                f"(backends: {', '.join(router.backends)}{security})")
+
+    return _run_until_signal(router, banner, "closing router ...")
+
+
+def _run_until_signal(daemon, banner, farewell: str) -> int:
+    """Start ``daemon``, print ``banner()`` once it listens, serve until
+    SIGINT/SIGTERM, then print ``farewell`` and stop it gracefully."""
+    import asyncio
+    import signal
+
+    async def run() -> None:
+        await daemon.start()
+        print(banner(), flush=True)
         stop_requested = asyncio.Event()
         loop = asyncio.get_running_loop()
         for signum in (signal.SIGINT, signal.SIGTERM):
             loop.add_signal_handler(signum, stop_requested.set)
         await stop_requested.wait()
-        print("closing router ...", flush=True)
-        await router.stop()
+        print(farewell, flush=True)
+        await daemon.stop()
 
     asyncio.run(run())
     return 0

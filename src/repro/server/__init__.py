@@ -16,6 +16,10 @@ pool without ever blocking its event loop, and subscribers receive
   namespacing, bounded queues with explicit ``BUSY`` backpressure,
   cross-connection batch coalescing into ``ingest_many`` and graceful
   drain on shutdown;
+* :mod:`repro.server.frontend` — the daemon frontend both daemons
+  share: connection state, the bounded HELLO handshake (size cap,
+  deadline, token auth, version negotiation), REGISTER, the batched
+  writer loop, the shared config fields and the loop-thread host;
 * :mod:`repro.server.client` — the blocking
   (:class:`DetectionClient`) and asyncio
   (:class:`AsyncDetectionClient`) client libraries used by the CLI, the

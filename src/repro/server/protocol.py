@@ -82,6 +82,7 @@ __all__ = [
     "EVENT_DTYPE",
     "EVENT_WIRE_DTYPE",
     "Frame",
+    "FrameTooLarge",
     "FrameType",
     "MAX_PAYLOAD_BYTES",
     "PROTOCOL_VERSION",
@@ -128,6 +129,10 @@ _META_LEN = struct.Struct("!I")
 
 class ProtocolError(Exception):
     """A malformed, oversized or incompatible frame."""
+
+
+class FrameTooLarge(ProtocolError):
+    """A frame header announced more payload than the reader accepts."""
 
 
 class FrameType(IntEnum):
@@ -614,9 +619,17 @@ def write_frame(
 # ----------------------------------------------------------------------
 # asyncio I/O
 # ----------------------------------------------------------------------
-async def read_frame_async(reader) -> Frame:
-    """Read one frame from an ``asyncio.StreamReader``."""
+async def read_frame_async(reader, max_payload: int = MAX_PAYLOAD_BYTES) -> Frame:
+    """Read one frame from an ``asyncio.StreamReader``.
+
+    A header announcing more than ``max_payload`` bytes raises
+    :class:`FrameTooLarge` before any of the payload is read.
+    """
     ftype, payload_len = decode_header(await reader.readexactly(_HEADER.size))
+    if payload_len > max_payload:
+        raise FrameTooLarge(
+            f"{ftype.name} payload of {payload_len} bytes exceeds {max_payload}"
+        )
     payload = await reader.readexactly(payload_len) if payload_len else b""
     return decode_payload(ftype, payload)
 

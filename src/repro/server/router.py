@@ -5,7 +5,11 @@ One ``repro serve`` daemon scales to the cores of one machine (via
 scales past the machine.  :class:`DetectionRouter` (``repro route``) is
 an asyncio daemon that speaks the existing wire protocol
 (:mod:`repro.server.protocol`) on *both* sides and makes N backend
-``repro serve`` daemons look like one server:
+``repro serve`` daemons look like one server.  Its upstream side —
+accept, handshake, REGISTER, the per-connection outbox and writer loop —
+is the daemon frontend it shares with ``repro serve``
+(:mod:`repro.server.frontend`); this module is the backend behind it,
+a ring of links to the backend daemons:
 
 * **Placement** — streams are placed on backends by a consistent-hash
   ring (:class:`~repro.service.sharding.HashRing`, the same process-
@@ -42,15 +46,14 @@ an asyncio daemon that speaks the existing wire protocol
   heterogeneous fleet is visible at a glance; per-backend blocks ride
   along under ``server.backends``.
 
-The router speaks the same optional security layer as ``repro serve``
-on both sides: TLS + token auth upstream (``RouterConfig.tls_cert`` /
-``auth_token``), and per-backend endpoints downstream (``repros://``
-URLs or ``backend_token`` / ``backend_tls_ca`` defaults), with every
-reconnect re-presenting the token and negotiating a fresh TLS context.
-Backend quota denials pass through untouched — a backend's BUSY
-becomes the upstream reply via the writer loop's ``ServerBusy``
-mapping, and backend quota STATS aggregate per namespace across the
-fleet.
+Upstream, the frontend gives the router the same TLS, token auth and
+handshake bounds as ``repro serve``.  Downstream, backends are
+per-backend endpoints (``repros://`` URLs or ``backend_token`` /
+``backend_tls_ca`` defaults), with every reconnect re-presenting the
+token and negotiating a fresh TLS context.  Backend quota denials pass
+through untouched — a backend's BUSY becomes the upstream reply via the
+frontend writer loop's ``ServerBusy`` mapping, and backend quota STATS
+aggregate per namespace across the fleet.
 
 A backend that dies is reconnected on demand with the client layer's
 bounded exponential backoff; while it is down, requests that need it
@@ -70,16 +73,27 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.server import protocol
-from repro.server.auth import AuthError
 from repro.server.client import (
     AsyncDetectionClient,
     ConnectionClosedError,
-    ServerBusy,
     backoff_delay,
 )
-from repro.server.endpoint import Endpoint, server_ssl_context
+from repro.server.endpoint import Endpoint
+from repro.server.frontend import (
+    INGEST_FRAMES,
+    LOCKSTEP_FRAMES,
+    Connection,
+    Frontend,
+    FrontendConfig,
+    LoopThread,
+    ingest_formatter,
+    ingest_request,
+    replay_range,
+    replay_reply,
+    request_scope,
+    stream_list,
+)
 from repro.server.protocol import Frame, FrameType, ProtocolError
-from repro.server.server import UnknownHandleError, build_authenticator
 from repro.service.events import PeriodStartEvent
 from repro.service.sharding import HashRing
 from repro.util.logging import get_logger
@@ -88,8 +102,6 @@ from repro.util.validation import ValidationError, check_positive_int
 __all__ = ["DetectionRouter", "RouterConfig", "RouterThread"]
 
 _logger = get_logger(__name__)
-
-_CLOSE = object()  # outbox sentinel: flush and stop the writer task
 
 #: Stream name of the loop-side replay used as a migration barrier; its
 #: reply queues behind every already-produced push on the same backend
@@ -111,36 +123,22 @@ def parse_backend(address: str) -> tuple[str, int]:
 
 
 @dataclass
-class RouterConfig:
+class RouterConfig(FrontendConfig):
     """Configuration of :class:`DetectionRouter`.
+
+    The listen address, per-connection bounds, ``max_protocol``, TLS
+    and token auth are the :class:`~repro.server.frontend.
+    FrontendConfig` fields, applied to upstream clients (each backend
+    additionally applies its own ``max_inflight``); the router adds:
 
     Attributes
     ----------
-    host, port:
-        Listen address (port 0 picks a free port).
     replicas:
         Virtual points per backend on the hash ring.
-    max_inflight:
-        Per-upstream-connection bound on forwarded requests in flight;
-        beyond it the router answers ``BUSY`` itself (each backend
-        additionally applies its own bound).
-    push_queue:
-        Per-upstream-connection bound on queued event pushes; overflow
-        drops (the backend journals make that recoverable via REPLAY).
     connect_retries, retry_delay:
         Downstream (re)connect policy per backend — bounded exponential
         backoff with jitter, shared with the client layer.  The default
         rides out a backend respawn of a few seconds.
-    max_protocol:
-        Highest wire protocol version offered to upstream clients.
-    tls_cert, tls_key:
-        Serve TLS on the upstream listener with this certificate and
-        private key (both or neither).
-    auth_token, auth_token_file, auth_tokens:
-        Require a HELLO token from upstream clients — a single shared
-        token, a ``token[:namespace[:expires]]`` file, or an explicit
-        token→namespace mapping; all sources combine (see
-        :mod:`repro.server.auth`).
     backend_token, backend_tls_ca, backend_tls_insecure:
         Defaults applied to every backend endpoint that does not set
         them itself: the token presented to backends' HELLO, the CA
@@ -148,44 +146,20 @@ class RouterConfig:
         disabling backend certificate verification.
     """
 
-    host: str = "127.0.0.1"
-    port: int = 0
     replicas: int = 128
-    max_inflight: int = 32
-    push_queue: int = 256
     connect_retries: int = 12
     retry_delay: float = 0.1
-    max_protocol: int = protocol.PROTOCOL_VERSION
-    tls_cert: str | None = None
-    tls_key: str | None = None
-    auth_token: str | None = None
-    auth_token_file: str | None = None
-    auth_tokens: dict[str, str | None] | None = None
     backend_token: str | None = None
     backend_tls_ca: str | None = None
     backend_tls_insecure: bool = False
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         check_positive_int(self.replicas, "replicas")
-        check_positive_int(self.max_inflight, "max_inflight")
-        check_positive_int(self.push_queue, "push_queue")
         if self.connect_retries < 0:
             raise ValidationError("connect_retries must be >= 0")
         if self.retry_delay <= 0:
             raise ValidationError("retry_delay must be positive")
-        if not (
-            protocol.BASELINE_VERSION
-            <= self.max_protocol
-            <= protocol.PROTOCOL_VERSION
-        ):
-            raise ValidationError(
-                f"max_protocol must be in "
-                f"[{protocol.BASELINE_VERSION}, {protocol.PROTOCOL_VERSION}]"
-            )
-        if bool(self.tls_cert) != bool(self.tls_key):
-            raise ValidationError(
-                "tls_cert and tls_key must be given together"
-            )
 
 
 @dataclass
@@ -199,98 +173,17 @@ class _BackendLink:
     lock: asyncio.Lock = field(default_factory=asyncio.Lock)
 
 
-class _RouterConn:
-    """Per-upstream-connection state (the router's server-side half)."""
+class _RouterConn(Connection):
+    """An upstream connection plus its downstream links."""
 
     def __init__(self, router: "DetectionRouter", writer: asyncio.StreamWriter):
-        self.router = router
-        self.writer = writer
-        self.namespace = ""
-        self.prefix = ""
-        self.subscription: str | None = None  # None | "own" | "all"
-        self.inflight = 0
-        self.queued_pushes = 0
-        self.dropped_events = 0
-        self.dead = False
-        self.version = protocol.BASELINE_VERSION
-        # Handle table, identical contract to the server's _Connection:
-        # one intern space shared by client REGISTERs and push announces.
-        self.handle_ids: list[str] = []
-        self.handle_of: dict[str, int] = {}
-        self.peer_known: set[int] = set()
+        super().__init__(router, writer)
         #: Downstream clients, one per backend, created on demand.  Each
         #: shares this connection's namespace, so stream names map 1:1.
         self.links: dict[str, _BackendLink] = {}
-        cfg = router.config
-        self.outbox: asyncio.Queue = asyncio.Queue(
-            maxsize=2 * cfg.max_inflight + cfg.push_queue + 8
-        )
-        self.writer_task: asyncio.Task | None = None
-
-    # -- outbound ------------------------------------------------------
-    def enqueue_reply(self, entry) -> None:
-        try:
-            self.outbox.put_nowait(entry)
-        except asyncio.QueueFull:
-            _logger.warning(
-                "router connection %s: outbound queue overflow, closing",
-                self.namespace,
-            )
-            self.abort()
-
-    # -- handle table --------------------------------------------------
-    def intern(self, name: str) -> int:
-        handle = self.handle_of.get(name)
-        if handle is None:
-            handle = len(self.handle_ids)
-            self.handle_ids.append(name)
-            self.handle_of[name] = handle
-        return handle
-
-    def resolve_handles(self, handles: list[int]) -> list[str]:
-        table = self.handle_ids
-        names = []
-        for handle in handles:
-            if not 0 <= handle < len(table):
-                raise UnknownHandleError(
-                    f"unknown stream handle {handle}; REGISTER it first "
-                    "(handle tables are per connection and reset on reconnect)"
-                )
-            names.append(table[handle])
-        return names
-
-    def push_events(self, events: list[PeriodStartEvent]) -> None:
-        """Forward one backend push batch upstream (names pre-scoped)."""
-        if self.dead or self.queued_pushes >= self.router.config.push_queue:
-            self.dropped_events += len(events)
-            self.router.dropped_events += len(events)
-            return
-        ids = sorted({e.stream_id for e in events})
-        positions = {sid: pos for pos, sid in enumerate(ids)}
-        table = protocol.events_to_array(events, positions)
-        self.queued_pushes += 1
-        if self.version >= 3:
-            handles = []
-            announce = []
-            for sid in ids:
-                handle = self.intern(sid)
-                if handle not in self.peer_known:
-                    self.peer_known.add(handle)
-                    announce.append((handle, sid))
-                handles.append(handle)
-            self.enqueue_reply(("push_hot", handles, announce, table))
-        else:
-            self.enqueue_reply(("push", FrameType.EVENT, {"streams": ids}, (table,)))
-
-    def abort(self) -> None:
-        self.dead = True
-        try:
-            self.writer.transport.abort()
-        except Exception:  # pragma: no cover - transport already gone
-            pass
 
 
-class DetectionRouter:
+class DetectionRouter(Frontend):
     """Present N backend detection servers as one (see module docstring).
 
     Parameters
@@ -305,11 +198,14 @@ class DetectionRouter:
         Listen address, ring and queue bounds, upstream TLS + auth.
     """
 
+    config: RouterConfig
+    _auto_prefix = "r"
+    _connection = _RouterConn
+
     def __init__(
         self, backends: Iterable[str], config: RouterConfig | None = None
     ) -> None:
-        self.config = config or RouterConfig()
-        self._auth = build_authenticator(self.config)
+        super().__init__(config or RouterConfig())
         self._backends: dict[str, Endpoint] = {}
         for address in backends:
             self._backends[address] = self._backend_endpoint(address)
@@ -320,10 +216,6 @@ class DetectionRouter:
         #: enumeration basis for migrations (ownership itself is always
         #: re-derived from the ring).
         self._placement: dict[str, str] = {}
-        self._conns: set[_RouterConn] = set()
-        self._server: asyncio.AbstractServer | None = None
-        self._conn_counter = 0
-        self._draining = False
         # Forward quiescing: migrations close the gate, wait for the
         # in-flight forwards to drain, move streams, reopen.
         self._forward_gate = asyncio.Event()
@@ -332,25 +224,20 @@ class DetectionRouter:
         self._forwards_idle = asyncio.Event()
         self._forwards_idle.set()
         self._migrate_lock = asyncio.Lock()
-        # Counters + per-layer profile (cumulative seconds), surfaced by
-        # STATS for the bench's --profile breakdown.
-        self.busy_replies = 0
-        self.dropped_events = 0
-        self.auth_accepted = 0
-        self.auth_rejected = 0
+        # Counters + per-layer profile (cumulative seconds, on top of
+        # the frontend's upstream encode and syscall), surfaced by STATS
+        # for the bench's --profile breakdown.
         self.hot_forwards = 0
         self.json_forwards = 0
         self.fanin_batches = 0
         self.replays_served = 0
         self.migrations = 0
         self.migrated_streams = 0
-        self.profile: dict[str, float] = {
-            "slice": 0.0,  # partition + row-slice of incoming matrices
-            "forward": 0.0,  # awaiting backend ingest replies
-            "encode": 0.0,  # upstream frame encode (writer)
-            "syscall": 0.0,  # upstream socket writes (writer)
-            "fanin": 0.0,  # backend push -> upstream outbox
-        }
+        self.profile.update(
+            slice=0.0,  # partition + row-slice of incoming matrices
+            forward=0.0,  # awaiting backend ingest replies
+            fanin=0.0,  # backend push -> upstream outbox
+        )
 
     def _backend_endpoint(self, address: str) -> Endpoint:
         """Normalise one ``--backend`` address to an :class:`Endpoint`.
@@ -377,52 +264,21 @@ class DetectionRouter:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    async def start(self) -> None:
-        """Bind and start serving (returns once listening)."""
-        ssl_context = (
-            server_ssl_context(self.config.tls_cert, self.config.tls_key)
-            if self.config.tls_cert
-            else None
-        )
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            self.config.host,
-            self.config.port,
-            ssl=ssl_context,
-        )
-
-    @property
-    def host(self) -> str:
-        return self._server.sockets[0].getsockname()[0]
-
-    @property
-    def port(self) -> int:
-        return self._server.sockets[0].getsockname()[1]
-
     @property
     def backends(self) -> list[str]:
         """Current backend addresses, sorted."""
         return sorted(self._backends)
-
-    async def serve_forever(self) -> None:
-        await self._server.serve_forever()
 
     async def stop(self) -> None:
         """Say BYE upstream, close every connection and stop listening."""
         self._draining = True
         if self._server is not None:
             self._server.close()
-        for conn in list(self._conns):
-            conn.enqueue_reply(("push", FrameType.BYE, {}, ()))
-            conn.enqueue_reply(_CLOSE)
-        for conn in list(self._conns):
-            if conn.writer_task is not None:
-                try:
-                    await asyncio.wait_for(conn.writer_task, timeout=5.0)
-                except (asyncio.TimeoutError, asyncio.CancelledError):
-                    conn.abort()
+        conns = list(self._connections)
+        await self._say_bye()
+        for conn in conns:
             await self._close_links(conn)
-        self._conns.clear()
+        self._connections.clear()
         if self._server is not None:
             await self._server.wait_closed()
 
@@ -568,7 +424,7 @@ class DetectionRouter:
                     start = time.perf_counter()
                     if batch:
                         self.fanin_batches += 1
-                        conn.push_events(batch)
+                        conn.push_events(sorted({e.stream_id for e in batch}), batch)
                     self.profile["fanin"] += time.perf_counter() - start
                 finally:
                     client.events.task_done()
@@ -619,7 +475,7 @@ class DetectionRouter:
                 # the new node *before* it can produce events (forwards
                 # are still gated here), or its pushes would be dropped
                 # until the next request touched it.
-                for conn in list(self._conns):
+                for conn in list(self._connections):
                     if conn.subscription is not None and not conn.dead:
                         await self._link_client(conn, address)
             except BaseException:
@@ -655,7 +511,7 @@ class DetectionRouter:
                     if old == address
                 }
                 moved = await self._migrate(moves)
-                for conn in list(self._conns):
+                for conn in list(self._connections):
                     await self._drop_link(conn, address)
                     conn.links.pop(address, None)
                 self._backends.pop(address, None)
@@ -719,7 +575,7 @@ class DetectionRouter:
         # replay's reply queues behind all pending pushes, and the queue
         # join proves the pump forwarded them upstream — after this, no
         # pre-migration event can trail a post-migration one.
-        for conn in list(self._conns):
+        for conn in list(self._connections):
             if conn.subscription is None or conn.dead:
                 continue
             for backend in touched_old:
@@ -738,83 +594,13 @@ class DetectionRouter:
     # ------------------------------------------------------------------
     # connection handling
     # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        conn = _RouterConn(self, writer)
-        conn.writer_task = asyncio.ensure_future(self._writer_loop(conn))
-        self._conns.add(conn)
-        try:
-            await self._serve_frames(conn, reader)
-        except (asyncio.IncompleteReadError, ConnectionError):
-            pass  # peer disconnected
-        except ProtocolError as exc:
-            conn.enqueue_reply(("push", FrameType.ERROR, {"message": str(exc)}, ()))
-        except Exception:  # pragma: no cover - defensive
-            _logger.exception("router connection %s: unexpected error", conn.namespace)
-        finally:
-            self._conns.discard(conn)
-            conn.enqueue_reply(_CLOSE)
-            if conn.writer_task is not None:
-                try:
-                    await conn.writer_task
-                except asyncio.CancelledError:  # pragma: no cover
-                    pass
-            await self._close_links(conn)
-            try:
-                writer.close()
-            except Exception:  # pragma: no cover
-                pass
-
-    async def _serve_frames(self, conn: _RouterConn, reader) -> None:
-        hello = await protocol.read_frame_async(reader)
-        if hello.type != FrameType.HELLO:
-            raise ProtocolError("the first frame must be HELLO")
-        forced_namespace: str | None = None
-        if self._auth is not None:
-            # Authenticate before counting the connection and before
-            # _finish_hello may touch any backend (a ``fresh`` handshake
-            # drops streams): a rejected peer leaves the fleet untouched.
-            try:
-                forced_namespace = self._auth.authenticate(hello.meta.get("token"))
-            except AuthError as exc:
-                self.auth_rejected += 1
-                conn.enqueue_reply(
-                    (
-                        "reply",
-                        FrameType.ERROR,
-                        {
-                            "message": f"authentication failed: {exc}",
-                            "auth": "denied",
-                        },
-                        (),
-                    )
-                )
-                return
-            self.auth_accepted += 1
-        self._conn_counter += 1
-        namespace = (
-            forced_namespace or hello.meta.get("namespace") or f"r{self._conn_counter}"
-        )
-        if not isinstance(namespace, str) or "/" in namespace or not namespace:
-            raise ProtocolError("namespace must be a non-empty string without '/'")
-        conn.namespace = namespace
-        conn.prefix = namespace + "/"
-        requested = hello.meta.get("protocol", protocol.BASELINE_VERSION)
-        if not isinstance(requested, int) or requested < 1:
-            raise ProtocolError("'protocol' must be a positive integer")
-        conn.version = max(
-            protocol.BASELINE_VERSION,
-            min(requested, self.config.max_protocol, protocol.PROTOCOL_VERSION),
-        )
-        fresh = bool(hello.meta.get("fresh"))
+    def _hello(self, conn: _RouterConn, fresh: bool) -> None:
         self._spawn_reply(
             conn, self._finish_hello(conn, fresh), self._format_hello(conn)
         )
-        while True:
-            frame = await protocol.read_frame_async(reader)
-            self._handle_request(conn, frame)
-            await asyncio.sleep(0)  # let the writer and tasks breathe
+
+    async def _release(self, conn: _RouterConn) -> None:
+        await self._close_links(conn)
 
     async def _finish_hello(self, conn: _RouterConn, fresh: bool) -> tuple[int, dict]:
         """Eagerly connect this namespace to every backend.
@@ -866,77 +652,41 @@ class DetectionRouter:
     # ------------------------------------------------------------------
     def _handle_request(self, conn: _RouterConn, frame: Frame) -> None:
         kind = frame.type
-        try:
-            if kind == FrameType.REGISTER:
-                self._handle_register(conn, frame)
-            elif kind in (
-                FrameType.INGEST,
-                FrameType.INGEST_LOCKSTEP,
-                FrameType.INGEST_HOT,
-                FrameType.LOCKSTEP_HOT,
-            ):
-                self._handle_ingest(conn, frame)
-            elif kind == FrameType.SUBSCRIBE:
-                self._handle_subscribe(conn, frame)
-            elif kind == FrameType.REPLAY:
-                self._handle_replay(conn, frame)
-            elif kind == FrameType.SNAPSHOT:
-                requested = (
-                    self._stream_list(frame)
-                    if frame.meta.get("streams") is not None
-                    else None
-                )
-                self._spawn_reply(
-                    conn,
-                    self._forward_snapshot(conn, requested),
-                    self._format_snapshot,
-                )
-            elif kind == FrameType.RESTORE:
-                self._handle_restore(conn, frame)
-            elif kind == FrameType.REMOVE:
-                ids = self._stream_list(frame)
-                self._spawn_reply(
-                    conn,
-                    self._forward_remove(conn, ids),
-                    lambda n: (FrameType.OK, {"removed": n}, ()),
-                )
-            elif kind == FrameType.STATS:
-                self._spawn_reply(
-                    conn,
-                    self._forward_stats(conn, bool(frame.meta.get("periods"))),
-                    lambda stats: (FrameType.OK, stats, ()),
-                )
-            else:
-                raise ProtocolError(f"unexpected frame type {kind.name}")
-        except UnknownHandleError as exc:
-            conn.enqueue_reply(("reply", FrameType.ERROR, {"message": str(exc)}, ()))
-
-    @staticmethod
-    def _stream_list(frame: Frame) -> list[str]:
-        ids = frame.meta.get("streams")
-        if not isinstance(ids, list) or not all(isinstance(s, str) for s in ids):
-            raise ProtocolError("'streams' must be a list of stream names")
-        if len(set(ids)) != len(ids):
-            raise ProtocolError("duplicate stream names in one request")
-        return ids
-
-    def _handle_register(self, conn: _RouterConn, frame: Frame) -> None:
-        names = self._stream_list(frame)
-        handles = []
-        for name in names:
-            if not name:
-                raise ProtocolError("stream names must be non-empty")
-            handle = conn.intern(name)
-            conn.peer_known.add(handle)
-            handles.append(handle)
-        conn.enqueue_reply(("reply", FrameType.OK, {"handles": handles}, ()))
+        if kind in INGEST_FRAMES:
+            self._handle_ingest(conn, frame)
+        elif kind == FrameType.SUBSCRIBE:
+            self._handle_subscribe(conn, frame)
+        elif kind == FrameType.REPLAY:
+            self._handle_replay(conn, frame)
+        elif kind == FrameType.SNAPSHOT:
+            requested = (
+                stream_list(frame) if frame.meta.get("streams") is not None else None
+            )
+            self._spawn_reply(
+                conn,
+                self._forward_snapshot(conn, requested),
+                self._format_snapshot,
+            )
+        elif kind == FrameType.RESTORE:
+            self._handle_restore(conn, frame)
+        elif kind == FrameType.REMOVE:
+            ids = stream_list(frame)
+            self._spawn_reply(
+                conn,
+                self._forward_remove(conn, ids),
+                lambda n: (FrameType.OK, {"removed": n}, ()),
+            )
+        elif kind == FrameType.STATS:
+            self._spawn_reply(
+                conn,
+                self._forward_stats(conn, bool(frame.meta.get("periods"))),
+                lambda stats: (FrameType.OK, stats, ()),
+            )
+        else:
+            raise ProtocolError(f"unexpected frame type {kind.name}")
 
     def _handle_subscribe(self, conn: _RouterConn, frame: Frame) -> None:
-        scope = frame.meta.get("scope", "own")
-        if scope not in ("own", "all"):
-            raise ProtocolError(
-                f"subscribe scope must be 'own' or 'all', got {scope!r}"
-            )
+        scope = request_scope(frame, "subscribe")
         conn.subscription = scope
 
         async def run() -> str:
@@ -959,74 +709,27 @@ class DetectionRouter:
 
     # -- ingest forwarding (the hot path) ------------------------------
     def _handle_ingest(self, conn: _RouterConn, frame: Frame) -> None:
-        if self._draining:
-            conn.enqueue_reply(
-                ("reply", FrameType.ERROR, {"message": "router is draining"}, ())
-            )
+        if not self._admit_ingest(conn):
             return
-        if conn.inflight >= self.config.max_inflight:
-            self.busy_replies += 1
-            conn.enqueue_reply(
-                ("reply", FrameType.BUSY, {"inflight": conn.inflight}, ())
-            )
-            return
-        hot = frame.type in (FrameType.INGEST_HOT, FrameType.LOCKSTEP_HOT)
-        lockstep = frame.type in (FrameType.INGEST_LOCKSTEP, FrameType.LOCKSTEP_HOT)
-        if hot:
-            raw_handles = list(frame.meta["handles"])
-            local_ids = conn.resolve_handles(raw_handles)
-            if len(set(local_ids)) != len(local_ids):
-                raise ProtocolError("duplicate stream handles in one request")
-            matrix = frame.arrays[0]
-            # The decoded matrix is a zero-copy view into the network
-            # buffer; own the bytes before handing rows to concurrent
-            # forward tasks.
+        local_ids, matrix, arrays, handles = ingest_request(conn, frame)
+        # Decoded payloads are zero-copy views into the network buffer;
+        # own the bytes before handing rows to concurrent forward tasks.
+        if matrix is not None:
             matrix = np.ascontiguousarray(matrix)
-            arrays: list[np.ndarray] | None = None
-            self.hot_forwards += 1
         else:
-            local_ids = self._stream_list(frame)
-            if frame.type == FrameType.INGEST_LOCKSTEP:
-                if len(frame.arrays) != 1 or frame.arrays[0].ndim != 2:
-                    raise ProtocolError("INGEST_LOCKSTEP carries one 2-D matrix")
-                matrix = np.ascontiguousarray(frame.arrays[0])
-                if matrix.shape[0] != len(local_ids):
-                    raise ProtocolError("lockstep matrix rows must match 'streams'")
-                arrays = None
-            else:
-                if len(frame.arrays) != len(local_ids):
-                    raise ProtocolError(
-                        f"INGEST carries {len(frame.arrays)} arrays for "
-                        f"{len(local_ids)} streams"
-                    )
-                matrix = None
-                arrays = [np.array(arr, copy=True) for arr in frame.arrays]
+            arrays = [np.array(arr, copy=True) for arr in arrays]
+        if handles is None:
             self.json_forwards += 1
+        else:
+            self.hot_forwards += 1
+        lockstep = frame.type in LOCKSTEP_FRAMES
         conn.inflight += 1
         task = self._spawn_reply(
             conn,
             self._forward_ingest(conn, local_ids, matrix, arrays, lockstep),
-            self._format_ingest_reply(conn, local_ids, raw_handles if hot else None),
+            ingest_formatter(conn, local_ids, handles),
         )
         task.add_done_callback(lambda _t: setattr(conn, "inflight", conn.inflight - 1))
-
-    def _format_ingest_reply(
-        self, conn: _RouterConn, local_ids: list[str], handles: list[int] | None
-    ):
-        positions = {sid: pos for pos, sid in enumerate(local_ids)}
-
-        def fmt(events: list[PeriodStartEvent]):
-            table = protocol.events_to_array(events, positions)
-            if handles is not None and conn.version >= 3:
-                return (
-                    "raw",
-                    protocol.encode_hot_events(
-                        FrameType.EVENTS_HOT, handles, table, version=conn.version
-                    ),
-                )
-            return FrameType.EVENTS, {"streams": local_ids}, (table,)
-
-        return fmt
 
     async def _forward_ingest(
         self,
@@ -1084,35 +787,17 @@ class DetectionRouter:
 
     # -- replay fan-in -------------------------------------------------
     def _handle_replay(self, conn: _RouterConn, frame: Frame) -> None:
-        stream = frame.meta.get("stream")
-        if not isinstance(stream, str) or not stream:
-            raise ProtocolError("'stream' must be a non-empty stream name")
-        scope = frame.meta.get("scope", "own")
-        if scope not in ("own", "all"):
-            raise ProtocolError(f"replay scope must be 'own' or 'all', got {scope!r}")
-        try:
-            from_seq = int(frame.meta["from_seq"])
-            upto_raw = frame.meta.get("upto")
-            upto = None if upto_raw is None else int(upto_raw)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(
-                "'from_seq' (and optional 'upto') must be integers"
-            ) from exc
-        if from_seq < 0 or (upto is not None and upto < from_seq):
-            raise ProtocolError("replay range must satisfy 0 <= from_seq <= upto")
+        stream, from_seq, upto = replay_range(frame)
+        scope = request_scope(frame, "replay")
 
         async def run():
-            async def op_for(client: AsyncDetectionClient):
+            async def op(client: AsyncDetectionClient):
                 return await client.replay(stream, from_seq, upto=upto, scope=scope)
 
             answers = []
             for backend in sorted(self._backends):
                 try:
-                    answers.append(
-                        await self._on_link(
-                            conn, backend, lambda c: op_for(c)
-                        )
-                    )
+                    answers.append(await self._on_link(conn, backend, op))
                 except (ConnectionError, OSError):
                     # A dead backend holds no replayable history right
                     # now; the remaining answers (and the merge's gap
@@ -1121,18 +806,9 @@ class DetectionRouter:
             self.replays_served += 1
             return protocol.merge_replay_answers(answers, from_seq, upto)
 
-        def fmt(result):
-            events, first_available = result
-            table = protocol.events_to_array(events, {stream: 0})
-            meta: dict = {"streams": [stream], "stream": stream, "from_seq": from_seq}
-            if upto is not None:
-                meta["upto"] = upto
-            if first_available is not None:
-                meta["first_available"] = first_available
-                return FrameType.EVENTS_GAP, meta, (table,)
-            return FrameType.EVENTS, meta, (table,)
-
-        self._spawn_reply(conn, run(), fmt)
+        self._spawn_reply(
+            conn, run(), lambda result: replay_reply(stream, from_seq, upto, *result)
+        )
 
     # -- state + stats -------------------------------------------------
     @staticmethod
@@ -1242,7 +918,7 @@ class DetectionRouter:
                         "replicas": self.ring.replicas,
                         "placed_streams": len(self._placement),
                     },
-                    "connections": len(self._conns),
+                    "connections": len(self._connections),
                     "busy_replies": self.busy_replies,
                     "dropped_events": self.dropped_events,
                     "hot_forwards": self.hot_forwards,
@@ -1253,19 +929,10 @@ class DetectionRouter:
                     "migrated_streams": self.migrated_streams,
                 },
                 "profile": dict(self.profile),
-                "protocol": {
-                    "supported": protocol.PROTOCOL_VERSION,
-                    "max": self.config.max_protocol,
-                    "connection": conn.version,
-                },
                 "backends": per_backend,
             },
         }
-        if self._auth is not None:
-            result["server"]["auth"] = {
-                "accepted": self.auth_accepted,
-                "rejected": self.auth_rejected,
-            }
+        result["server"].update(self._frontend_stats(conn))
         # Per-namespace quota counters are all integers by contract
         # (see QuotaManager.stats), so a tenant spread across backends
         # aggregates by plain summation.
@@ -1292,103 +959,11 @@ class DetectionRouter:
             result["periods"] = merged_periods
         return result
 
-    # ------------------------------------------------------------------
-    # writer task
-    # ------------------------------------------------------------------
-    def _encode_entry(self, conn: _RouterConn, entry) -> list:
-        start = time.perf_counter()
-        try:
-            if entry[0] == "push_hot":
-                _, handles, announce, table = entry
-                return protocol.encode_hot_events(
-                    FrameType.EVENT_HOT, handles, table, announce, version=conn.version
-                )
-            _, ftype, meta, arrays = entry
-            return protocol.encode_frame(ftype, meta, arrays, version=conn.version)
-        finally:
-            self.profile["encode"] += time.perf_counter() - start
-
-    async def _writer_loop(self, conn: _RouterConn) -> None:
-        """Flush the upstream outbox in FIFO order, one write per wakeup.
-
-        Futures resolve in place (flushing what is already encoded
-        first); a failed forward becomes a BUSY frame (backend
-        backpressure passes through) or an ERROR frame.  A write failure
-        marks the connection dead but keeps draining entries so tasks
-        never block on a gone peer.
-        """
-        pending: list = []
-
-        async def flush() -> None:
-            if pending and not conn.dead:
-                start = time.perf_counter()
-                try:
-                    conn.writer.writelines(pending)
-                    await conn.writer.drain()
-                except (ConnectionError, RuntimeError):
-                    conn.dead = True
-                self.profile["syscall"] += time.perf_counter() - start
-            pending.clear()
-
-        while True:
-            entry = await conn.outbox.get()
-            batch = [entry]
-            while entry is not _CLOSE:
-                try:
-                    entry = conn.outbox.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                batch.append(entry)
-            closing = False
-            for entry in batch:
-                if entry is _CLOSE:
-                    closing = True
-                    break
-                if entry[0] == "future":
-                    _, future, formatter = entry
-                    if not future.done():
-                        await flush()  # ship encoded frames before waiting
-                        await asyncio.wait([future])
-                    if future.cancelled():
-                        continue
-                    exc = future.exception()
-                    if exc is not None:
-                        if isinstance(exc, ServerBusy):
-                            self.busy_replies += 1
-                            resolved = ("reply", FrameType.BUSY, {}, ())
-                        else:
-                            resolved = (
-                                "reply",
-                                FrameType.ERROR,
-                                {"message": f"{type(exc).__name__}: {exc}"},
-                                (),
-                            )
-                    else:
-                        formatted = formatter(future.result())
-                        if formatted[0] == "raw":
-                            if not conn.dead:
-                                pending.extend(formatted[1])
-                            continue
-                        ftype, meta, arrays = formatted
-                        resolved = ("reply", ftype, meta, arrays)
-                else:
-                    resolved = entry
-                    if resolved[0] == "push_hot" or (
-                        resolved[0] == "push" and resolved[1] == FrameType.EVENT
-                    ):
-                        conn.queued_pushes = max(0, conn.queued_pushes - 1)
-                if conn.dead:
-                    continue
-                pending.extend(self._encode_entry(conn, resolved))
-            await flush()
-            if closing:
-                return
-
 
 # ----------------------------------------------------------------------
 # threaded hosting (tests, benchmarks)
 # ----------------------------------------------------------------------
-class RouterThread:
+class RouterThread(LoopThread):
     """Host a :class:`DetectionRouter` on a private loop in a daemon
     thread — the router twin of :class:`~repro.server.server.ServerThread`::
 
@@ -1400,72 +975,12 @@ class RouterThread:
         self, backends: Sequence[str], config: RouterConfig | None = None
     ) -> None:
         self.router = DetectionRouter(backends, config)
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread = None
-        self._ready = None
-        self._startup_error: BaseException | None = None
-
-    def start(self) -> tuple[str, int]:
-        import threading
-
-        if self._thread is not None:
-            raise ValidationError("router thread already started")
-        self._ready = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-router", daemon=True
-        )
-        self._thread.start()
-        self._ready.wait()
-        if self._startup_error is not None:
-            self._thread.join()
-            raise self._startup_error
-        return self.router.host, self.router.port
-
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            loop.run_until_complete(self.router.start())
-        except BaseException as exc:  # surface bind errors in start()
-            self._startup_error = exc
-            self._ready.set()
-            loop.close()
-            return
-        self._ready.set()
-        try:
-            loop.run_forever()
-        finally:
-            loop.run_until_complete(loop.shutdown_asyncgens())
-            loop.close()
-
-    def _call(self, coro, timeout: float):
-        if self._loop is None:
-            raise ValidationError("router thread not started")
-        future = asyncio.run_coroutine_threadsafe(coro, self._loop)
-        return future.result(timeout)
+        super().__init__(self.router, "repro-router")
 
     def add_backend(self, address: str, timeout: float = 60.0) -> int:
         """Join a backend (see :meth:`DetectionRouter.add_backend`)."""
-        return self._call(self.router.add_backend(address), timeout)
+        return self.call(self.router.add_backend(address), timeout)
 
     def remove_backend(self, address: str, timeout: float = 60.0) -> int:
         """Drain a backend (see :meth:`DetectionRouter.remove_backend`)."""
-        return self._call(self.router.remove_backend(address), timeout)
-
-    def stop(self, timeout: float = 30.0) -> None:
-        if self._thread is None or self._loop is None:
-            return
-        if self._thread.is_alive():
-            future = asyncio.run_coroutine_threadsafe(self.router.stop(), self._loop)
-            try:
-                future.result(timeout=timeout)
-            finally:
-                self._loop.call_soon_threadsafe(self._loop.stop)
-                self._thread.join(timeout=timeout)
-
-    def __enter__(self) -> tuple[str, int]:
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
+        return self.call(self.router.remove_backend(address), timeout)

@@ -1,7 +1,11 @@
 """The asyncio detection daemon (``repro serve``).
 
 One :class:`DetectionServer` exposes a (possibly sharded) detector pool
-over TCP.  The design constraints, and how they are met:
+over TCP.  Accepting peers, the HELLO handshake (size and time bounds,
+token auth, namespaces, version negotiation), REGISTER, the per-
+connection outbox and its writer loop are the shared daemon frontend
+(:mod:`repro.server.frontend`); this module is the backend behind it.
+The design constraints, and how they are met:
 
 **The pool is synchronous and must never block the event loop.**  All
 pool work runs on a single-thread executor; the event loop only parses
@@ -43,8 +47,7 @@ work, runs every already-queued job to completion, flushes every
 connection's outbound queue, then says ``BYE`` and closes — no accepted
 sample batch is silently discarded.
 
-**The wire hot path is negotiated.**  Protocol v3 peers (HELLO carries
-``protocol`` both ways, effective version = the minimum) intern stream
+**The wire hot path is negotiated.**  Protocol v3 peers intern stream
 names into per-connection int32 handles (``REGISTER``) and exchange
 binary hot frames (``INGEST_HOT``/``LOCKSTEP_HOT`` requests,
 ``EVENTS_HOT`` replies, ``EVENT_HOT`` pushes) with no JSON on the
@@ -61,18 +64,30 @@ harness and the examples host a loopback server in-process.
 from __future__ import annotations
 
 import asyncio
-import threading
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from repro.server import protocol
-from repro.server.auth import AuthError, TokenAuthenticator
-from repro.server.endpoint import server_ssl_context
+from repro.server.frontend import (
+    INGEST_FRAMES,
+    LOCKSTEP_FRAMES,
+    Connection,
+    Frontend,
+    FrontendConfig,
+    LoopThread,
+    UnknownHandleError,
+    ingest_formatter,
+    ingest_request,
+    replay_range,
+    replay_reply,
+    request_scope,
+    stream_list,
+)
 from repro.server.persistence import CheckpointStore, Checkpointer
 from repro.server.protocol import Frame, FrameType, ProtocolError
 from repro.server.quotas import QuotaManager, QuotaPolicy
@@ -98,18 +113,6 @@ _logger = get_logger(__name__)
 #: reconnect-happy client could grow the journal table without bound.
 #: Least recently touched journals are evicted first.
 _MAX_JOURNALS = 1024
-
-
-class UnknownHandleError(Exception):
-    """A hot frame referenced a stream handle this connection never
-    registered.
-
-    Deliberately *not* a :class:`ProtocolError`: the frame itself was
-    well formed — the peer merely raced a ``fresh`` reconnect (handle
-    tables are per connection and start empty) or skipped ``REGISTER``.
-    The server answers with an ``ERROR`` frame, in order, and keeps the
-    connection alive; only malformed frames disconnect.
-    """
 
 
 class EventJournal:
@@ -260,23 +263,15 @@ class EventJournal:
 
 
 @dataclass
-class ServerConfig:
+class ServerConfig(FrontendConfig):
     """Configuration of :class:`DetectionServer`.
+
+    The listen address, per-connection bounds, ``max_protocol``, TLS
+    and token auth are the :class:`~repro.server.frontend.
+    FrontendConfig` fields; the server adds:
 
     Attributes
     ----------
-    host, port:
-        Listen address; port 0 binds an ephemeral port (read it back
-        from :attr:`DetectionServer.port` — the tests and the loopback
-        benchmark do exactly that).
-    max_inflight:
-        Per-connection bound on unanswered ingest requests.  A request
-        arriving with the bound exhausted is answered ``BUSY`` (in
-        order) instead of being queued.
-    push_queue:
-        Per-connection bound on undelivered subscriber event pushes;
-        batches beyond it are dropped and counted, never buffered
-        without bound.
     coalesce_limit:
         Upper bound of the adaptive coalescing window: the maximum
         number of queued ingest jobs merged into one pool
@@ -293,11 +288,6 @@ class ServerConfig:
         still inside it via ``REPLAY``; older ranges are answered with
         ``EVENTS_GAP``.  ``0`` disables journaling (every replay then
         reports a gap).
-    max_protocol:
-        Highest wire protocol version the server will negotiate in
-        HELLO (capped at :data:`protocol.PROTOCOL_VERSION`).  ``2``
-        freezes the server to the JSON-only v2 wire format — the
-        negotiation tests use it to emulate an old server.
     state_dir:
         Directory for durable server state (``repro serve
         --state-dir``).  When set, the server restores every stream and
@@ -313,19 +303,6 @@ class ServerConfig:
         When set, a pass is additionally kicked early once this many
         ingest jobs have landed since the last pass — bounding how much
         acknowledged work a crash can lose under heavy traffic.
-    tls_cert, tls_key:
-        Serve TLS with this certificate chain + private key (``repro
-        serve --tls-cert/--tls-key``).  Both unset (the default) keeps
-        the listener plain TCP; clients then connect with a
-        ``repros://`` endpoint.
-    auth_token, auth_token_file, auth_tokens:
-        When any is set, every HELLO must carry a matching ``token`` or
-        the handshake is answered ``ERROR`` and closed before any pool
-        mutation.  ``auth_token`` accepts one token (no forced
-        namespace); ``auth_token_file`` loads ``token[:namespace
-        [:expires]]`` lines; ``auth_tokens`` is the programmatic
-        token→namespace mapping.  A token's namespace, when set,
-        overrides the one the client asked for.
     quota_max_streams, quota_max_samples_per_s, quota_max_subscribers:
         Default per-namespace admission quotas (see
         :mod:`repro.server.quotas`); ``None`` leaves the dimension
@@ -338,30 +315,19 @@ class ServerConfig:
         restart even when the restart omits the quota flags.
     """
 
-    host: str = "127.0.0.1"
-    port: int = 0
-    max_inflight: int = 32
-    push_queue: int = 256
     coalesce_limit: int = 64
     coalesce_min: int = 4
     journal_size: int = 4096
-    max_protocol: int = protocol.PROTOCOL_VERSION
     state_dir: str | None = None
     checkpoint_interval: float = 30.0
     checkpoint_max_dirty: int | None = None
-    tls_cert: str | None = None
-    tls_key: str | None = None
-    auth_token: str | None = None
-    auth_token_file: str | None = None
-    auth_tokens: dict[str, str | None] | None = None
     quota_max_streams: int | None = None
     quota_max_samples_per_s: float | None = None
     quota_max_subscribers: int | None = None
     quotas: dict[str, dict] | None = None
 
     def __post_init__(self) -> None:
-        check_positive_int(self.max_inflight, "max_inflight")
-        check_positive_int(self.push_queue, "push_queue")
+        super().__post_init__()
         check_positive_int(self.coalesce_limit, "coalesce_limit")
         check_positive_int(self.coalesce_min, "coalesce_min")
         if self.coalesce_min > self.coalesce_limit:
@@ -373,23 +339,12 @@ class ServerConfig:
             raise ValidationError(
                 f"journal_size must be >= 0, got {self.journal_size}"
             )
-        if not 2 <= self.max_protocol <= protocol.PROTOCOL_VERSION:
-            raise ValidationError(
-                f"max_protocol must be in [2, {protocol.PROTOCOL_VERSION}], "
-                f"got {self.max_protocol}"
-            )
-        if not 0 <= self.port <= 65535:
-            raise ValidationError(f"port must be in [0, 65535], got {self.port}")
         if not self.checkpoint_interval > 0:
             raise ValidationError(
                 f"checkpoint_interval must be > 0, got {self.checkpoint_interval}"
             )
         if self.checkpoint_max_dirty is not None:
             check_positive_int(self.checkpoint_max_dirty, "checkpoint_max_dirty")
-        if bool(self.tls_cert) != bool(self.tls_key):
-            raise ValidationError(
-                "tls_cert and tls_key must be given together (or neither)"
-            )
         try:
             QuotaPolicy(
                 max_streams=self.quota_max_streams,
@@ -400,20 +355,6 @@ class ServerConfig:
                 QuotaPolicy.from_mapping(spec)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"bad quota configuration: {exc}") from exc
-
-
-def build_authenticator(config) -> TokenAuthenticator | None:
-    """The config's HELLO authenticator, or ``None`` when auth is off.
-
-    Shared by :class:`ServerConfig` and the router's ``RouterConfig`` —
-    both expose the same ``auth_token`` / ``auth_token_file`` /
-    ``auth_tokens`` trio.
-    """
-    return TokenAuthenticator.from_config(
-        token=config.auth_token,
-        token_file=config.auth_token_file,
-        tokens=config.auth_tokens,
-    )
 
 
 def _build_quotas(config: ServerConfig) -> QuotaManager | None:
@@ -441,130 +382,7 @@ class _Job:
     fn: Callable | None = None
 
 
-_CLOSE = object()  # outbox sentinel: flush and stop the writer task
-
-#: Writer-loop buffer pooling: frame buffers at or below the copy limit
-#: coalesce into a reused scratch bytearray (one allocation serves many
-#: wakeups); larger buffers — raw sample/event arrays — pass through to
-#: the scatter-gather write uncopied.  A scratch that ballooned past the
-#: cap is dropped instead of being pooled, and at most ``_SCRATCH_POOL``
-#: buffers are retained per connection.
-_SCRATCH_COPY_LIMIT = 1 << 15
-_SCRATCH_CAP = 1 << 20
-_SCRATCH_POOL = 4
-
-
-class _Connection:
-    """Per-connection state: namespace, bounded queues, counters."""
-
-    def __init__(self, server: "DetectionServer", writer: asyncio.StreamWriter) -> None:
-        self.server = server
-        self.writer = writer
-        self.namespace = ""
-        self.prefix = ""
-        self.subscription: str | None = None  # None | "own" | "all"
-        self.inflight = 0
-        self.queued_pushes = 0
-        self.dropped_events = 0
-        self.dead = False
-        #: Negotiated wire protocol version; the v2 baseline until HELLO
-        #: says otherwise.  Every frame this connection emits is stamped
-        #: with it.
-        self.version = protocol.BASELINE_VERSION
-        # The handle table: one intern space per connection, shared by
-        # client registrations (REGISTER) and server-side push
-        # announcements.  ``handle_ids[h]`` is the name exactly as the
-        # peer sees it (namespace-local for its own streams, full
-        # ``<ns>/<stream>`` ids for scope-"all" pushes); ``peer_known``
-        # tracks which handles the peer has been told about, so the
-        # first EVENT_HOT using a server-assigned handle announces it.
-        self.handle_ids: list[str] = []
-        self.handle_of: dict[str, int] = {}
-        self.peer_known: set[int] = set()
-        cfg = server.config
-        # Replies (bounded by max_inflight plus the BUSY notices the
-        # writer has not flushed yet) and pushes share one FIFO so reply
-        # order is preserved; capacity beyond it closes the connection.
-        self.outbox: asyncio.Queue = asyncio.Queue(
-            maxsize=2 * cfg.max_inflight + cfg.push_queue + 8
-        )
-        self.writer_task: asyncio.Task | None = None
-
-    # -- outbound ------------------------------------------------------
-    def enqueue_reply(self, entry) -> None:
-        """Queue a reply (ready tuple or ``(future, formatter)``), FIFO.
-
-        Overflow means the peer stopped reading while pipelining hard;
-        the connection is aborted rather than buffering without bound.
-        """
-        try:
-            self.outbox.put_nowait(entry)
-        except asyncio.QueueFull:
-            _logger.warning(
-                "connection %s: outbound queue overflow, closing", self.namespace
-            )
-            self.abort()
-
-    # -- handle table --------------------------------------------------
-    def intern(self, name: str) -> int:
-        """The peer-visible name's handle, assigned on first use."""
-        handle = self.handle_of.get(name)
-        if handle is None:
-            handle = len(self.handle_ids)
-            self.handle_ids.append(name)
-            self.handle_of[name] = handle
-        return handle
-
-    def resolve_handles(self, handles: list[int]) -> list[str]:
-        """Map hot-frame handles back to local stream names."""
-        table = self.handle_ids
-        names = []
-        for handle in handles:
-            if not 0 <= handle < len(table):
-                raise UnknownHandleError(
-                    f"unknown stream handle {handle}; REGISTER it first "
-                    "(handle tables are per connection and reset on reconnect)"
-                )
-            names.append(table[handle])
-        return names
-
-    def push_events(self, local_ids: list[str], events: list[PeriodStartEvent]) -> None:
-        """Queue a subscriber EVENT push, dropping (and counting) on overflow."""
-        if self.dead or self.queued_pushes >= self.server.config.push_queue:
-            self.dropped_events += len(events)
-            self.server.dropped_events += len(events)
-            return
-        positions = {sid: pos for pos, sid in enumerate(local_ids)}
-        table = protocol.events_to_array(events, positions)
-        self.queued_pushes += 1
-        if self.version >= 3:
-            # EVENT_HOT: handles instead of repeated names, announcing
-            # each server-assigned handle exactly once (outbox FIFO
-            # guarantees the announce is decoded before any later frame
-            # relies on it).
-            handles = []
-            announce = []
-            for sid in local_ids:
-                handle = self.intern(sid)
-                if handle not in self.peer_known:
-                    self.peer_known.add(handle)
-                    announce.append((handle, sid))
-                handles.append(handle)
-            self.enqueue_reply(("push_hot", handles, announce, table))
-        else:
-            self.enqueue_reply(
-                ("push", FrameType.EVENT, {"streams": local_ids}, (table,))
-            )
-
-    def abort(self) -> None:
-        self.dead = True
-        try:
-            self.writer.transport.abort()
-        except Exception:  # pragma: no cover - transport already gone
-            pass
-
-
-class DetectionServer:
+class DetectionServer(Frontend):
     """Serve a detector pool over TCP (see the module docstring).
 
     Parameters
@@ -577,19 +395,17 @@ class DetectionServer:
         Listen address and queue bounds.
     """
 
+    config: ServerConfig
+
     def __init__(self, pool, config: ServerConfig | None = None) -> None:
-        self.config = config or ServerConfig()
+        super().__init__(config or ServerConfig())
         self.facade = pool if isinstance(pool, ThreadSafePool) else ThreadSafePool(pool)
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-pool"
         )
         self._jobs: asyncio.Queue[_Job] = asyncio.Queue()
-        self._connections: set[_Connection] = set()
-        self._server: asyncio.AbstractServer | None = None
         self._dispatcher: asyncio.Task | None = None
-        self._draining = False
         self._stopped = False
-        self._conn_counter = 0
         # A sharded pool with a positive pipeline_depth returns ingest
         # events lazily; the dispatcher then flushes whenever its queue
         # runs dry so subscribers see the tail without waiting for the
@@ -614,38 +430,25 @@ class DetectionServer:
                 interval=self.config.checkpoint_interval,
                 max_dirty=self.config.checkpoint_max_dirty,
             )
-        # Admission layer (both optional): HELLO token auth and
-        # per-namespace quotas.  Built before the socket ever opens, so
-        # no connection is admitted under a half-configured policy.
-        self._auth = build_authenticator(self.config)
+        # Per-namespace quotas (optional), like the frontend's token
+        # auth built before the socket ever opens.
         self._quotas = _build_quotas(self.config)
-        self.auth_accepted = 0
-        self.auth_rejected = 0
         # service counters, reported by STATS
-        self.busy_replies = 0
-        self.dropped_events = 0
         self.ingest_jobs = 0
         self.executor_calls = 0
         self.replays_served = 0
         self.replay_gaps = 0
-        # adaptive-coalescing + writer-batching observability (STATS)
+        # adaptive-coalescing observability (STATS)
         self.ingest_batches = 0
         self.max_batch = 0
         self.adaptive_window = self.config.coalesce_min
-        self.writer_batches = 0
-        self.writer_frames = 0
         #: Cumulative per-layer seconds (DFAnalyzer-style attribution):
-        #: frame encode, socket write+drain, dispatcher bookkeeping,
-        #: detection work on the executor, and subscriber fan-out.  The
-        #: executor thread adds to "detect", the loop thread to the
-        #: rest; CPython float += under the GIL keeps this race-benign.
-        self.profile: dict[str, float] = {
-            "encode": 0.0,
-            "syscall": 0.0,
-            "dispatch": 0.0,
-            "detect": 0.0,
-            "fanout": 0.0,
-        }
+        #: on top of the frontend's encode and syscall, dispatcher
+        #: bookkeeping, detection work on the executor, and subscriber
+        #: fan-out.  The executor thread adds to "detect", the loop
+        #: thread to the rest; CPython float += under the GIL keeps this
+        #: race-benign.
+        self.profile.update(dispatch=0.0, detect=0.0, fanout=0.0)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -664,23 +467,7 @@ class DetectionServer:
             self._checkpointer.baseline()
             self._checkpointer.start()
         self._dispatcher = asyncio.ensure_future(self._dispatch_loop())
-        ssl_context = (
-            server_ssl_context(self.config.tls_cert, self.config.tls_key)
-            if self.config.tls_cert
-            else None
-        )
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            self.config.host,
-            self.config.port,
-            ssl=ssl_context,
-        )
-        _logger.info(
-            "detection server listening on %s:%d%s",
-            self.host,
-            self.port,
-            " (TLS)" if ssl_context is not None else "",
-        )
+        await super().start()
 
     async def _sync_quota_config(self) -> None:
         """Persist or restore the quota configuration (``state_dir``).
@@ -777,19 +564,6 @@ class DetectionServer:
             raise ValidationError("server has no state_dir configured")
         return await self._checkpointer.checkpoint()
 
-    @property
-    def host(self) -> str:
-        return self._server.sockets[0].getsockname()[0]
-
-    @property
-    def port(self) -> int:
-        """The bound port (resolves port 0 to the ephemeral choice)."""
-        return self._server.sockets[0].getsockname()[1]
-
-    async def serve_forever(self) -> None:
-        """Serve until cancelled (``repro serve`` runs this)."""
-        await self._server.serve_forever()
-
     async def stop(self) -> None:
         """Graceful drain: finish queued work, flush replies, say BYE."""
         if self._stopped:
@@ -819,17 +593,7 @@ class DetectionServer:
                 await self._checkpointer.aclose(final_pass=True)
             except Exception:  # pragma: no cover - defensive
                 _logger.exception("final checkpoint failed; state may be stale")
-        # Flush each connection's outbound queue behind a BYE notice.
-        writers = []
-        for conn in list(self._connections):
-            conn.enqueue_reply(("push", FrameType.BYE, {}, ()))
-            conn.enqueue_reply(_CLOSE)
-            if conn.writer_task is not None:
-                writers.append(conn.writer_task)
-        if writers:
-            await asyncio.gather(*writers, return_exceptions=True)
-        for conn in list(self._connections):
-            conn.abort()
+        await self._say_bye()
         self._connections.clear()
         self._executor.shutdown(wait=True)
         self.facade.close()
@@ -1103,93 +867,14 @@ class DetectionServer:
     # ------------------------------------------------------------------
     # connection handling
     # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        conn = _Connection(self, writer)
-        conn.writer_task = asyncio.ensure_future(self._writer_loop(conn))
-        self._connections.add(conn)
-        try:
-            await self._serve_frames(conn, reader)
-        except (asyncio.IncompleteReadError, ConnectionError):
-            pass  # peer disconnected
-        except ProtocolError as exc:
-            conn.enqueue_reply(("push", FrameType.ERROR, {"message": str(exc)}, ()))
-        except Exception:  # pragma: no cover - defensive
-            _logger.exception("connection %s: unexpected error", conn.namespace)
-        finally:
-            self._connections.discard(conn)
-            if self._quotas is not None and conn.subscription is not None:
-                self._quotas.release_subscriber(conn.namespace)
-            conn.enqueue_reply(_CLOSE)
-            if conn.writer_task is not None:
-                try:
-                    await conn.writer_task
-                except asyncio.CancelledError:  # pragma: no cover
-                    pass
-            try:
-                writer.close()
-            except Exception:  # pragma: no cover
-                pass
-            if conn.dropped_events:
-                _logger.warning(
-                    "connection %s: dropped %d subscriber events (slow consumer)",
-                    conn.namespace,
-                    conn.dropped_events,
-                )
-
-    async def _serve_frames(self, conn: _Connection, reader) -> None:
-        hello = await protocol.read_frame_async(reader)
-        if hello.type != FrameType.HELLO:
-            raise ProtocolError("the first frame must be HELLO")
-        # Authentication happens before *anything* the handshake does —
-        # the connection is not counted, no namespace exists, and in
-        # particular the `fresh` stream purge below never runs for an
-        # unauthenticated peer.  HELLO is always a v2 frame, so v2 and
-        # v3 peers pass through the same gate.
-        forced_namespace: str | None = None
-        if self._auth is not None:
-            try:
-                forced_namespace = self._auth.authenticate(hello.meta.get("token"))
-            except AuthError as exc:
-                self.auth_rejected += 1
-                conn.enqueue_reply(
-                    (
-                        "reply",
-                        FrameType.ERROR,
-                        {"message": f"authentication failed: {exc}", "auth": "denied"},
-                        (),
-                    )
-                )
-                return  # _handle_connection flushes the ERROR and closes
-            self.auth_accepted += 1
-        self._conn_counter += 1
-        namespace = (
-            forced_namespace
-            or hello.meta.get("namespace")
-            or f"c{self._conn_counter}"
-        )
-        if not isinstance(namespace, str) or "/" in namespace or not namespace:
-            raise ProtocolError("namespace must be a non-empty string without '/'")
-        conn.namespace = namespace
-        conn.prefix = namespace + "/"
-        # Version negotiation: both sides name the highest protocol they
-        # speak, the connection runs the minimum.  A v2 peer sends no
-        # "protocol" key at all — absence means the v2 baseline.
-        requested = hello.meta.get("protocol", protocol.BASELINE_VERSION)
-        if not isinstance(requested, int) or requested < 1:
-            raise ProtocolError("'protocol' must be a positive integer")
-        conn.version = max(
-            protocol.BASELINE_VERSION,
-            min(requested, self.config.max_protocol, protocol.PROTOCOL_VERSION),
-        )
-        if hello.meta.get("fresh"):
+    def _hello(self, conn: Connection, fresh: bool) -> None:
+        if fresh:
             # A clean-slate reconnect resets the namespace's sequencing
             # (streams restart at seq 0), so its journal must go too —
             # stale high-seq entries would confuse later replays.
-            self._journals.pop(namespace, None)
+            self._journals.pop(conn.namespace, None)
             if self._quotas is not None:
-                self._quotas.reset_namespace(namespace)
+                self._quotas.reset_namespace(conn.namespace)
             self._submit_control(
                 conn,
                 lambda: self.facade.remove_streams(
@@ -1199,12 +884,12 @@ class DetectionServer:
             )
         else:
             conn.enqueue_reply(("reply", FrameType.OK, self._hello_meta(conn, 0), ()))
-        while True:
-            frame = await protocol.read_frame_async(reader)
-            self._handle_request(conn, frame)
-            await asyncio.sleep(0)  # let the writer/dispatcher breathe
 
-    def _hello_meta(self, conn: _Connection, removed: int) -> dict:
+    async def _release(self, conn: Connection) -> None:
+        if self._quotas is not None and conn.subscription is not None:
+            self._quotas.release_subscriber(conn.namespace)
+
+    def _hello_meta(self, conn: Connection, removed: int) -> dict:
         pool_cfg = self.facade.pool.config
         return {
             "namespace": conn.namespace,
@@ -1217,36 +902,12 @@ class DetectionServer:
         }
 
     # -- request dispatch ----------------------------------------------
-    def _handle_request(self, conn: _Connection, frame: Frame) -> None:
+    def _handle_request(self, conn: Connection, frame: Frame) -> None:
         kind = frame.type
-        if kind in (
-            FrameType.REGISTER,
-            FrameType.INGEST_HOT,
-            FrameType.LOCKSTEP_HOT,
-            FrameType.REMOVE,
-        ) and self.config.max_protocol < 3:
-            # A frozen-v2 server has no hot path; a correct peer never
-            # sends these after negotiating v2.
-            raise ProtocolError(f"unexpected frame type {kind.name}")
-        if kind in (FrameType.INGEST, FrameType.INGEST_LOCKSTEP):
+        if kind in INGEST_FRAMES:
             self._handle_ingest(conn, frame)
-        elif kind == FrameType.REGISTER:
-            self._handle_register(conn, frame)
-        elif kind in (FrameType.INGEST_HOT, FrameType.LOCKSTEP_HOT):
-            try:
-                self._handle_hot_ingest(conn, frame)
-            except UnknownHandleError as exc:
-                # An ERROR reply in request order — the connection (and
-                # its other in-flight requests) survive.
-                conn.enqueue_reply(
-                    ("reply", FrameType.ERROR, {"message": str(exc)}, ())
-                )
         elif kind == FrameType.SUBSCRIBE:
-            scope = frame.meta.get("scope", "own")
-            if scope not in ("own", "all"):
-                raise ProtocolError(
-                    f"subscribe scope must be 'own' or 'all', got {scope!r}"
-                )
+            scope = request_scope(frame, "subscribe")
             # The quota slot is taken once per connection (re-SUBSCRIBE
             # merely changes scope) and released on disconnect.  A
             # denied subscribe answers ERROR; the connection survives.
@@ -1283,103 +944,26 @@ class DetectionServer:
         else:
             raise ProtocolError(f"unexpected frame type {kind.name}")
 
-    def _local_streams(self, conn: _Connection, frame: Frame) -> list[str]:
-        ids = frame.meta.get("streams")
-        if not isinstance(ids, list) or not all(isinstance(s, str) for s in ids):
-            raise ProtocolError("'streams' must be a list of stream names")
-        if len(set(ids)) != len(ids):
-            raise ProtocolError("duplicate stream names in one request")
-        return ids
-
-    def _handle_ingest(self, conn: _Connection, frame: Frame) -> None:
-        local_ids = self._local_streams(conn, frame)
-        if frame.type == FrameType.INGEST:
-            if len(frame.arrays) != len(local_ids):
-                raise ProtocolError(
-                    f"INGEST carries {len(frame.arrays)} arrays for "
-                    f"{len(local_ids)} streams"
-                )
+    def _handle_ingest(self, conn: Connection, frame: Frame) -> None:
+        """Queue an ingest request: JSON by name, or hot (binary, by handle)."""
+        local_ids, matrix, arrays, handles = ingest_request(conn, frame)
+        if matrix is None:
             batches = {
-                conn.prefix + sid: arr.ravel()
-                for sid, arr in zip(local_ids, frame.arrays)
+                conn.prefix + sid: arr.ravel() for sid, arr in zip(local_ids, arrays)
             }
-            job_kind = "ingest"
         else:
-            if len(frame.arrays) != 1 or frame.arrays[0].ndim != 2:
-                raise ProtocolError("INGEST_LOCKSTEP carries one 2-D matrix")
-            matrix = frame.arrays[0]
-            if matrix.shape[0] != len(local_ids):
-                raise ProtocolError("lockstep matrix rows must match 'streams'")
             batches = {
                 conn.prefix + sid: matrix[row] for row, sid in enumerate(local_ids)
             }
-            job_kind = "lockstep"
-
-        def format_events(events: list[PeriodStartEvent]):
-            positions = {conn.prefix + sid: pos for pos, sid in enumerate(local_ids)}
-            table = protocol.events_to_array(events, positions)
-            return FrameType.EVENTS, {"streams": local_ids}, (table,)
-
-        self._queue_ingest_job(conn, job_kind, batches, format_events)
-
-    def _handle_register(self, conn: _Connection, frame: Frame) -> None:
-        """Intern stream names into per-connection int32 handles.
-
-        Served on the event loop (the handle table is loop-local); the
-        reply's ``handles`` list aligns with the request's ``streams``
-        list.  Re-registering a name returns its existing handle, so the
-        call is idempotent.
-        """
-        names = self._local_streams(conn, frame)
-        handles = []
-        for name in names:
-            if not name:
-                raise ProtocolError("stream names must be non-empty")
-            handle = conn.intern(name)
-            conn.peer_known.add(handle)
-            handles.append(handle)
-        conn.enqueue_reply(("reply", FrameType.OK, {"handles": handles}, ()))
-
-    def _handle_hot_ingest(self, conn: _Connection, frame: Frame) -> None:
-        """Queue an INGEST_HOT / LOCKSTEP_HOT request (binary, by handle)."""
-        raw_handles = frame.meta["handles"]
-        local_ids = conn.resolve_handles(raw_handles)  # may raise UnknownHandle
-        if len(set(local_ids)) != len(local_ids):
-            raise ProtocolError("duplicate stream handles in one request")
-        matrix = frame.arrays[0]  # decode guarantees one row per handle
-        batches = {
-            conn.prefix + sid: matrix[row] for row, sid in enumerate(local_ids)
-        }
-        job_kind = "lockstep" if frame.type == FrameType.LOCKSTEP_HOT else "ingest"
-        full_ids = [conn.prefix + sid for sid in local_ids]
-        handles = list(raw_handles)
-
-        def format_events(events: list[PeriodStartEvent]):
-            positions = {sid: pos for pos, sid in enumerate(full_ids)}
-            table = protocol.events_to_array(events, positions)
-            return (
-                "raw",
-                protocol.encode_hot_events(
-                    FrameType.EVENTS_HOT, handles, table, version=conn.version
-                ),
-            )
-
-        self._queue_ingest_job(conn, job_kind, batches, format_events)
+        job_kind = "lockstep" if frame.type in LOCKSTEP_FRAMES else "ingest"
+        formatter = ingest_formatter(conn, local_ids, handles, conn.prefix)
+        self._queue_ingest_job(conn, job_kind, batches, formatter)
 
     def _queue_ingest_job(
-        self, conn: _Connection, job_kind: str, batches: dict, formatter
+        self, conn: Connection, job_kind: str, batches: dict, formatter
     ) -> None:
         """Admission control + job queueing shared by all ingest frames."""
-        if self._draining:
-            conn.enqueue_reply(
-                ("reply", FrameType.ERROR, {"message": "server is draining"}, ())
-            )
-            return
-        if conn.inflight >= self.config.max_inflight:
-            self.busy_replies += 1
-            conn.enqueue_reply(
-                ("reply", FrameType.BUSY, {"inflight": conn.inflight}, ())
-            )
+        if not self._admit_ingest(conn):
             return
         if self._quotas is not None:
             samples = sum(int(batch.size) for batch in batches.values())
@@ -1426,7 +1010,7 @@ class DetectionServer:
         self._jobs.put_nowait(_Job(kind=job_kind, future=future, batches=batches))
         conn.enqueue_reply(("future", future, formatter))
 
-    def _handle_replay(self, conn: _Connection, frame: Frame) -> None:
+    def _handle_replay(self, conn: Connection, frame: Frame) -> None:
         """Answer ``REPLAY(stream, from_seq[, upto])`` from the journal.
 
         Served entirely on the event loop — the journal is loop-local
@@ -1439,22 +1023,8 @@ class DetectionServer:
         full ``<namespace>/<stream>`` id as pushed to scope-``all``
         subscribers.
         """
-        stream = frame.meta.get("stream")
-        if not isinstance(stream, str) or not stream:
-            raise ProtocolError("'stream' must be a non-empty stream name")
-        scope = frame.meta.get("scope", "own")
-        if scope not in ("own", "all"):
-            raise ProtocolError(f"replay scope must be 'own' or 'all', got {scope!r}")
-        try:
-            from_seq = int(frame.meta["from_seq"])
-            upto_raw = frame.meta.get("upto")
-            upto = None if upto_raw is None else int(upto_raw)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(
-                "'from_seq' (and optional 'upto') must be integers"
-            ) from exc
-        if from_seq < 0 or (upto is not None and upto < from_seq):
-            raise ProtocolError("replay range must satisfy 0 <= from_seq <= upto")
+        stream, from_seq, upto = replay_range(frame)
+        scope = request_scope(frame, "replay")
         full_sid = stream if scope == "all" else conn.prefix + stream
         namespace = full_sid.split("/", 1)[0]
         journal = self._journals.get(namespace)
@@ -1468,29 +1038,14 @@ class DetectionServer:
             self._journals.move_to_end(namespace)
         events, gap_end = journal.replay(full_sid, from_seq, upto)
         self.replays_served += 1
-        renamed = [
-            PeriodStartEvent(
-                stream_id=stream,
-                index=e.index,
-                period=e.period,
-                confidence=e.confidence,
-                new_detection=e.new_detection,
-                seq=e.seq,
-            )
-            for e in events
-        ]
-        table = protocol.events_to_array(renamed, {stream: 0})
-        meta: dict = {"streams": [stream], "stream": stream, "from_seq": from_seq}
-        if upto is not None:
-            meta["upto"] = upto
+        renamed = [replace(e, stream_id=stream) for e in events]
         if gap_end is not None:
             self.replay_gaps += 1
-            meta["first_available"] = gap_end
-            conn.enqueue_reply(("reply", FrameType.EVENTS_GAP, meta, (table,)))
-        else:
-            conn.enqueue_reply(("reply", FrameType.EVENTS, meta, (table,)))
+        conn.enqueue_reply(
+            ("reply", *replay_reply(stream, from_seq, upto, renamed, gap_end))
+        )
 
-    def _submit_control(self, conn: _Connection, fn, formatter) -> None:
+    def _submit_control(self, conn: Connection, fn, formatter) -> None:
         """Queue a control job; its reply keeps the connection's FIFO order."""
         if self._draining:
             conn.enqueue_reply(
@@ -1501,8 +1056,10 @@ class DetectionServer:
         self._jobs.put_nowait(_Job(kind="control", future=future, fn=fn))
         conn.enqueue_reply(("future", future, formatter))
 
-    def _handle_snapshot(self, conn: _Connection, frame: Frame) -> None:
-        requested = frame.meta.get("streams")
+    def _handle_snapshot(self, conn: Connection, frame: Frame) -> None:
+        requested = None
+        if frame.meta.get("streams") is not None:
+            requested = stream_list(frame)
         prefix = conn.prefix
 
         def run() -> dict:
@@ -1519,7 +1076,7 @@ class DetectionServer:
 
         self._submit_control(conn, run, format_snapshot)
 
-    def _handle_restore(self, conn: _Connection, frame: Frame) -> None:
+    def _handle_restore(self, conn: Connection, frame: Frame) -> None:
         states = protocol.unpack_object(frame.meta.get("states"), frame.arrays)
         if not isinstance(states, dict):
             raise ProtocolError("RESTORE meta must carry a 'states' mapping")
@@ -1539,7 +1096,7 @@ class DetectionServer:
             conn, run, lambda n: (FrameType.OK, {"restored": n}, ())
         )
 
-    def _handle_remove(self, conn: _Connection, frame: Frame) -> None:
+    def _handle_remove(self, conn: Connection, frame: Frame) -> None:
         """Drop named streams from the connection's namespace.
 
         The router's migration cleanup: after a stream's snapshot has
@@ -1549,7 +1106,7 @@ class DetectionServer:
         which is what keeps a subscriber's seq tail gap-free across a
         migration.
         """
-        local_ids = self._local_streams(conn, frame)
+        local_ids = stream_list(frame)
         prefix = conn.prefix
         if self._quotas is not None:
             self._quotas.note_remove(
@@ -1563,7 +1120,7 @@ class DetectionServer:
             conn, run, lambda n: (FrameType.OK, {"removed": n}, ())
         )
 
-    def _handle_stats(self, conn: _Connection, frame: Frame) -> None:
+    def _handle_stats(self, conn: Connection, frame: Frame) -> None:
         include_periods = bool(frame.meta.get("periods"))
         prefix = conn.prefix
         server_stats = {
@@ -1575,21 +1132,12 @@ class DetectionServer:
             "draining": self._draining,
             "replays_served": self.replays_served,
             "replay_gaps": self.replay_gaps,
-            "protocol": {
-                "supported": protocol.PROTOCOL_VERSION,
-                "max": self.config.max_protocol,
-                "connection": conn.version,
-            },
             "coalesce": {
                 "window": self.adaptive_window,
                 "min": self.config.coalesce_min,
                 "limit": self.config.coalesce_limit,
                 "batches": self.ingest_batches,
                 "max_batch": self.max_batch,
-            },
-            "writer": {
-                "batches": self.writer_batches,
-                "frames": self.writer_frames,
             },
             "profile": dict(self.profile),
             "journal": {
@@ -1600,11 +1148,7 @@ class DetectionServer:
                 "capacity": self.config.journal_size,
             },
         }
-        if self._auth is not None:
-            server_stats["auth"] = {
-                "accepted": self.auth_accepted,
-                "rejected": self.auth_rejected,
-            }
+        server_stats.update(self._frontend_stats(conn))
         if self._quotas is not None:
             server_stats["quotas"] = self._quotas.stats()
         if self._checkpointer is not None:
@@ -1639,138 +1183,6 @@ class DetectionServer:
             conn, run, lambda stats: (FrameType.OK, stats, ())
         )
 
-    # -- writer task ---------------------------------------------------
-    def _encode_entry(self, conn: _Connection, entry) -> list:
-        """Encode one resolved outbox entry into frame buffers."""
-        start = time.perf_counter()
-        try:
-            if entry[0] == "push_hot":
-                _, handles, announce, table = entry
-                return protocol.encode_hot_events(
-                    FrameType.EVENT_HOT,
-                    handles,
-                    table,
-                    announce,
-                    version=conn.version,
-                )
-            _, ftype, meta, arrays = entry
-            return protocol.encode_frame(ftype, meta, arrays, version=conn.version)
-        finally:
-            self.profile["encode"] += time.perf_counter() - start
-
-    async def _writer_loop(self, conn: _Connection) -> None:
-        """Flush the connection's outbox in FIFO order, batched per wakeup.
-
-        Every wakeup drains the outbox greedily: each ready entry's
-        frame buffers are appended to one pending write vector, small
-        buffers coalescing into pooled (reused) scratch bytearrays, and
-        the whole vector goes to the transport as a single
-        ``writelines`` + ``drain`` — one coalesced write per wakeup
-        instead of one write and one drain per reply.  An unresolved
-        future mid-batch first flushes everything already encoded (the
-        peer keeps receiving while the pool works), then waits.
-
-        A write failure marks the connection dead but keeps consuming
-        entries (futures still resolve; results are discarded) so the
-        dispatcher and the drain logic never block on a gone peer.
-        """
-        pool: list[bytearray] = []  # reusable scratch buffers
-        pending: list = []  # write vector of the current batch
-        borrowed: list[bytearray] = []  # scratch in use by `pending`
-        scratch: bytearray | None = None
-
-        async def flush() -> None:
-            nonlocal scratch
-            if pending and not conn.dead:
-                start = time.perf_counter()
-                try:
-                    conn.writer.writelines(pending)
-                    await conn.writer.drain()
-                except (ConnectionError, RuntimeError):
-                    conn.dead = True
-                self.profile["syscall"] += time.perf_counter() - start
-                self.writer_batches += 1
-            pending.clear()
-            # The selector transport copies on write (immediate send or
-            # buffer extend), so the scratch bytearrays are free again.
-            while borrowed and len(pool) < _SCRATCH_POOL:
-                buf = borrowed.pop()
-                if len(buf) <= _SCRATCH_CAP:
-                    pool.append(buf)
-            borrowed.clear()
-            scratch = None
-
-        def put(buffers: list) -> None:
-            nonlocal scratch
-            self.writer_frames += 1
-            for buf in buffers:
-                if len(buf) <= _SCRATCH_COPY_LIMIT:
-                    if scratch is None or len(scratch) > _SCRATCH_CAP:
-                        scratch = pool.pop() if pool else bytearray()
-                        scratch.clear()
-                        borrowed.append(scratch)
-                        pending.append(scratch)
-                    scratch += buf
-                else:
-                    # Large (array) buffers pass through uncopied; later
-                    # small buffers must start a fresh scratch to keep
-                    # byte order.
-                    pending.append(buf)
-                    scratch = None
-
-        while True:
-            entry = await conn.outbox.get()
-            batch = [entry]
-            while entry is not _CLOSE:
-                try:
-                    entry = conn.outbox.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                batch.append(entry)
-            closing = False
-            for entry in batch:
-                if entry is _CLOSE:
-                    closing = True
-                    break
-                if entry[0] == "future":
-                    _, future, formatter = entry
-                    if not future.done():
-                        # Ship what is already encoded before blocking.
-                        await flush()
-                        await asyncio.wait([future])
-                    if future.cancelled():
-                        continue
-                    exc = future.exception()
-                    if exc is not None:
-                        resolved = (
-                            "reply",
-                            FrameType.ERROR,
-                            {"message": f"{type(exc).__name__}: {exc}"},
-                            (),
-                        )
-                    else:
-                        start = time.perf_counter()
-                        formatted = formatter(future.result())
-                        self.profile["encode"] += time.perf_counter() - start
-                        if formatted[0] == "raw":
-                            if not conn.dead:
-                                put(formatted[1])
-                            continue
-                        ftype, meta, arrays = formatted
-                        resolved = ("reply", ftype, meta, arrays)
-                else:
-                    resolved = entry
-                    if resolved[0] == "push_hot" or (
-                        resolved[0] == "push" and resolved[1] == FrameType.EVENT
-                    ):
-                        conn.queued_pushes = max(0, conn.queued_pushes - 1)
-                if conn.dead:
-                    continue
-                put(self._encode_entry(conn, resolved))
-            await flush()
-            if closing:
-                return
-
 
 # ----------------------------------------------------------------------
 # construction + threaded hosting helpers
@@ -1801,7 +1213,7 @@ def build_pool(
     return DetectorPool(config)
 
 
-class ServerThread:
+class ServerThread(LoopThread):
     """Host a :class:`DetectionServer` on a private loop in a daemon thread.
 
     The blocking client, the test-suite and the loopback benchmark all
@@ -1817,68 +1229,10 @@ class ServerThread:
 
     def __init__(self, pool, config: ServerConfig | None = None) -> None:
         self.server = DetectionServer(pool, config)
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._ready = threading.Event()
-        self._startup_error: BaseException | None = None
-
-    def start(self) -> tuple[str, int]:
-        """Start the loop thread; returns ``(host, port)`` when listening."""
-        if self._thread is not None:
-            raise ValidationError("server thread already started")
-        self._thread = threading.Thread(
-            target=self._run, name="repro-server", daemon=True
-        )
-        self._thread.start()
-        self._ready.wait()
-        if self._startup_error is not None:
-            self._thread.join()
-            raise self._startup_error
-        return self.server.host, self.server.port
-
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            loop.run_until_complete(self.server.start())
-        except BaseException as exc:  # surface bind errors in start()
-            self._startup_error = exc
-            self._ready.set()
-            loop.close()
-            return
-        self._ready.set()
-        try:
-            loop.run_forever()
-        finally:
-            loop.run_until_complete(loop.shutdown_asyncgens())
-            loop.close()
+        super().__init__(self.server, "repro-server")
 
     def checkpoint(self, timeout: float = 30.0) -> dict:
         """Run one checkpoint pass on the server's loop; returns its
         summary.  Lets threaded tests force durability at a known point
         instead of sleeping out the interval."""
-        if self._loop is None:
-            raise ValidationError("server thread not started")
-        future = asyncio.run_coroutine_threadsafe(
-            self.server.checkpoint_now(), self._loop
-        )
-        return future.result(timeout)
-
-    def stop(self, timeout: float = 30.0) -> None:
-        """Gracefully drain the server and join the loop thread."""
-        if self._thread is None or self._loop is None:
-            return
-        if self._thread.is_alive():
-            future = asyncio.run_coroutine_threadsafe(self.server.stop(), self._loop)
-            try:
-                future.result(timeout=timeout)
-            finally:
-                self._loop.call_soon_threadsafe(self._loop.stop)
-                self._thread.join(timeout=timeout)
-
-    def __enter__(self) -> tuple[str, int]:
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
+        return self.call(self.server.checkpoint_now(), timeout)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from _server_helpers import event_config
+from repro.server.router import RouterConfig, RouterThread
 from repro.server.server import ServerConfig, ServerThread
 from repro.service.pool import DetectorPool, PoolConfig
 
@@ -22,4 +23,25 @@ def loopback():
 
     yield start
     for thread in threads:
+        thread.stop()
+
+
+@pytest.fixture(params=["server", "router"])
+def daemon(request, loopback):
+    """Factory over both daemons that share the frontend: a loopback
+    server, or a router in front of one, whose frontend takes the given
+    config fields.  Returns ``(host, port)``."""
+    routers: list[RouterThread] = []
+
+    def start(pool_config: PoolConfig | None = None, **frontend):
+        if request.param == "server":
+            _, host, port = loopback(pool_config, ServerConfig(**frontend))
+            return host, port
+        _, host, port = loopback(pool_config)
+        thread = RouterThread([f"{host}:{port}"], RouterConfig(**frontend))
+        routers.append(thread)
+        return thread.start()
+
+    yield start
+    for thread in routers:
         thread.stop()

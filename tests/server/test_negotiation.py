@@ -79,15 +79,16 @@ class TestNegotiationMatrix:
         assert remote == direct(traces, "n")
         assert lock  # the JSON lockstep path still produced events
 
-    def test_v2_server_rejects_out_of_version_frames(self, loopback):
-        """Defence in depth: hot frames at a frozen-v2 server are refused.
+    def test_v2_server_rejects_out_of_version_frames(self, daemon):
+        """Defence in depth: hot frames at a frozen-v2 daemon are refused.
 
         A pre-v3 server would not even have REGISTER in its frame enum —
         the violation surfaces as an ERROR and the peer is dropped, which
-        is exactly what the frozen-v2 emulation reproduces.  A correct
-        client never hits this: negotiation already settled on v2.
+        is exactly what the frozen-v2 emulation reproduces, on a server
+        and on a router alike.  A correct client never hits this:
+        negotiation already settled on v2.
         """
-        _, host, port = loopback(server_config=ServerConfig(port=0, max_protocol=2))
+        host, port = daemon(max_protocol=2)
         with DetectionClient(host, port, namespace="n") as client:
             with pytest.raises((ServerError, ConnectionError), match="REGISTER|closed"):
                 client._send(FrameType.REGISTER, {"streams": ["x"]})

@@ -232,18 +232,19 @@ class TestBackpressure:
 
 
 class TestProtocolAbuse:
-    def test_request_before_hello_is_rejected(self, loopback):
+    def test_request_before_hello_is_rejected(self, daemon):
         import socket
 
         from repro.server import protocol
         from repro.server.protocol import FrameType
 
-        _, host, port = loopback(event_config())
+        host, port = daemon(event_config())
         with socket.create_connection((host, port), timeout=10) as sock:
             protocol.write_frame(sock, FrameType.STATS, {})
             frame = protocol.read_frame(sock)
             assert frame.type == FrameType.ERROR
             assert "HELLO" in frame.meta["message"]
+            assert sock.recv(1) == b""  # and the peer is dropped
 
     def test_ingest_with_mismatched_arrays_is_an_error(self, loopback):
         import socket
@@ -341,13 +342,67 @@ class TestAsyncClient:
 
 
 class TestHandshakeFailures:
-    def test_failed_handshake_closes_the_socket(self, loopback):
+    def test_failed_handshake_closes_the_socket(self, daemon):
         import gc
         import warnings
 
-        _, host, port = loopback(event_config())
+        host, port = daemon(event_config())
         with warnings.catch_warnings():
             warnings.simplefilter("error", ResourceWarning)
             with pytest.raises((ServerError, ConnectionError)):
                 DetectionClient(host, port, namespace="bad/name")
             gc.collect()  # an unclosed socket would raise ResourceWarning here
+
+    @staticmethod
+    def _answer(host, port, payload: bytes):
+        """Send ``payload`` as a new peer; the daemon's ERROR message, or
+        ``None`` when it closed without one.  Raises ``TimeoutError``
+        when the daemon neither answers nor closes within a second."""
+        import socket
+
+        from repro.server import protocol
+        from repro.server.protocol import FrameType
+
+        with socket.create_connection((host, port), timeout=1.0) as sock:
+            sock.sendall(payload)
+            try:
+                frame = protocol.read_frame(sock)
+            except ConnectionError:
+                return None
+            assert frame.type == FrameType.ERROR
+            assert sock.recv(1) == b""
+            return frame.meta["message"]
+
+    def test_oversized_hello_header_is_refused_before_its_payload(self, daemon):
+        """A header announcing a 256 MiB HELLO is refused at once, before
+        the token is checked and without buffering the payload."""
+        import struct
+
+        from repro.server import protocol
+        from repro.server.protocol import FrameType
+
+        host, port = daemon(event_config(), auth_token="s3cret")
+        header = struct.pack(
+            "!4sHHI", protocol.MAGIC, 2, int(FrameType.HELLO), 256 << 20
+        )
+        message = self._answer(host, port, header)
+        assert message is None or "exceeds" in message
+        url = f"repro://s3cret@{host}:{port}"
+        with DetectionClient(url, namespace="ns") as client:
+            assert client.ingest("app", [1, 2, 3] * 30) is not None
+            handshake = client.stats()["server"]["handshake"]
+        assert handshake["oversized"] == 1
+
+    def test_silent_socket_is_closed_at_the_handshake_deadline(
+        self, daemon, monkeypatch
+    ):
+        import repro.server.frontend as frontend
+
+        monkeypatch.setattr(frontend, "HANDSHAKE_TIMEOUT", 0.2)
+        host, port = daemon(event_config())
+        message = self._answer(host, port, b"")
+        assert message is None or "HELLO" in message
+        with DetectionClient(f"repro://{host}:{port}", namespace="ns") as client:
+            assert client.ingest("app", [1, 2, 3] * 30) is not None
+            handshake = client.stats()["server"]["handshake"]
+        assert handshake["timeouts"] == 1
