@@ -47,7 +47,7 @@ def main() -> None:
             for period in (3, 5, 7)
         }
         live = []
-        with DetectionClient(host, port, namespace="prod") as producer:
+        with DetectionClient(f"repro://{host}:{port}", namespace="prod") as producer:
             for sid, trace in traces.items():
                 live.extend(producer.ingest(sid, trace))
             print(f"ingested {sum(t.size for t in traces.values())} samples "
@@ -78,7 +78,7 @@ def main() -> None:
         # 4. Resume: replay hands back the exact pre-restart sequence,
         #    and new ingestion continues the numbering seamlessly.
         gaps = []
-        with DetectionClient(host, port, namespace="prod",
+        with DetectionClient(f"repro://{host}:{port}", namespace="prod",
                              on_gap=lambda *a: gaps.append(a)) as subscriber:
             subscriber.subscribe()
             recovered = subscriber.resync(sorted(traces))

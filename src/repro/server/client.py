@@ -1,43 +1,40 @@
 """Client libraries of the network detection service.
 
-Two clients over the same wire protocol (:mod:`repro.server.protocol`):
+One protocol core under two transports (wire format:
+:mod:`repro.server.protocol`):
 
-* :class:`DetectionClient` — blocking sockets, no asyncio required.
-  This is what the CLI's ``repro pool --connect``, the loopback
-  benchmark and most tests use.  Request/reply is strictly in order;
-  asynchronous ``EVENT`` pushes for subscribers are demultiplexed into a
-  local buffer so they can interleave with replies at any point.
-  :meth:`DetectionClient.pipeline` keeps several ingest requests in
-  flight to hide round-trip latency (bounded by the server's
-  ``max_inflight`` — beyond it the server answers ``BUSY``).
-* :class:`AsyncDetectionClient` — the asyncio twin for callers that
-  already live on an event loop; a background reader task resolves
-  reply futures in FIFO order and queues event pushes.
+* :class:`_Session` — the sans-IO core; it touches no socket and no
+  event loop.  Each operation is a generator that yields one request's
+  encoded buffers, is sent the reply frame and returns the result.  It
+  owns the negotiated version, the interned handles, the choice between
+  hot and JSON frames, the per-stream seq log and gap splicing.
+* :class:`DetectionClient` — the blocking transport, used by ``repro
+  pool --connect``, the loopback benchmark and most tests.  Replies
+  come strictly in order; ``EVENT`` pushes that arrive meanwhile are
+  buffered.  :meth:`DetectionClient.pipeline` keeps several ingest
+  requests in flight (bounded by the server's ``max_inflight`` — beyond
+  it the server answers ``BUSY``).
+* :class:`AsyncDetectionClient` — the asyncio transport; a background
+  reader task resolves reply futures in FIFO order and queues pushes.
 
-Both raise :class:`ServerBusy` on ``BUSY`` replies (the explicit
-backpressure signal — back off and retry) and :class:`ServerError` when
-the server reports a failed request.
+A transport keeps only connect/retry/TLS, frame read/write and push
+demultiplexing.  Both raise :class:`ServerBusy` on ``BUSY`` replies
+(the explicit backpressure signal — back off and retry) and
+:class:`ServerError` when the server reports a failed request.
 
-Both negotiate the wire protocol in HELLO (``max_protocol`` caps what
-the client offers — ``max_protocol=2`` *is* the frozen-v2 helper the
-compatibility tests use, emitting byte-identical v2 traffic).  Against
-a v3 server the hot paths (``ingest``/``ingest_many``/
-``ingest_lockstep``/``pipeline`` and subscriber pushes) intern stream
-names into per-connection int32 handles and travel as binary hot
-frames; ragged batches, mixed dtypes and dtypes without a wire code
-fall back to the JSON frames transparently.
+Against a v3 server (negotiated in HELLO) ingest and pushes travel as
+binary hot frames under per-connection int32 stream handles; ragged
+batches and dtypes without a wire code fall back to JSON frames.
 
 Both also *resume transparently*: every event carries the pool's
-per-stream monotonic ``seq``, and the subscription delivery path
-(``next_events``) tracks the last seq seen per stream.  When a pushed
-batch reveals a gap — the server dropped pushes on this slow consumer,
-or the client reconnected mid-stream — the client silently issues
-``REPLAY`` for exactly the missed range and splices the recovered
-events in front, so consumers observe the complete ordered sequence.
-Only when the server's bounded journal has already evicted part of the
-range does the loss surface, through the optional ``on_gap(stream_id,
-from_seq, first_available)`` callback (fired exactly once per evicted
-range).
+per-stream monotonic ``seq``, and ``next_events`` tracks the last seq
+delivered per stream.  When a pushed batch reveals a gap (the server
+dropped pushes on this slow consumer, or the client reconnected), the
+client replays exactly the missed range and splices it in front, so
+consumers observe the complete ordered sequence.  Only when the
+server's bounded journal has already evicted part of the range does the
+loss surface, through ``on_gap(stream_id, from_seq, first_available)``
+(fired exactly once per evicted range).
 """
 
 from __future__ import annotations
@@ -95,6 +92,9 @@ _RETRYABLE_CONNECT_ERRORS = (
     ssl.SSLEOFError,
 )
 
+#: Frame types the server pushes outside any request.
+_PUSHES = (FrameType.EVENT, FrameType.EVENT_HOT)
+
 
 def backoff_delay(
     attempt: int, base: float, cap: float = RETRY_DELAY_CAP
@@ -109,15 +109,10 @@ def backoff_delay(
     return bound * (0.5 + 0.5 * random.random())
 
 
-def _as_batch(samples) -> np.ndarray:
-    return np.ascontiguousarray(np.asarray(samples).ravel())
-
-
 def _events_from_frame(frame: Frame) -> list[PeriodStartEvent]:
-    ids = frame.meta.get("streams", [])
     if not frame.arrays:
         return []
-    return protocol.events_from_array(frame.arrays[0], ids)
+    return protocol.events_from_array(frame.arrays[0], frame.meta.get("streams", []))
 
 
 def _hot_matrix(arrays: Sequence[np.ndarray]) -> np.ndarray | None:
@@ -141,8 +136,17 @@ def _hot_matrix(arrays: Sequence[np.ndarray]) -> np.ndarray | None:
     return np.stack(arrays)
 
 
+def _check(frame: Frame) -> Frame:
+    """Raise for a BUSY or ERROR reply; return any other frame."""
+    if frame.type == FrameType.BUSY:
+        raise ServerBusy(f"server busy (inflight={frame.meta.get('inflight')})")
+    if frame.type == FrameType.ERROR:
+        raise ServerError(frame.meta.get("message", "unknown server error"))
+    return frame
+
+
 class _HandleRegistry:
-    """Per-connection stream-handle state shared by both clients."""
+    """Per-connection stream-handle state of one session."""
 
     __slots__ = ("of_name", "names")
 
@@ -171,7 +175,229 @@ class _HandleRegistry:
         return protocol.events_from_array(frame.arrays[0], ids)
 
 
-class DetectionClient:
+class _Session:
+    """The protocol state and logic of one client connection, sans IO.
+
+    Every *operation* is a generator: each ``yield`` hands the
+    transport one request's encoded buffers, the transport sends back
+    the reply :class:`Frame`, and the return value is the result.  The
+    two *plans*, :meth:`splice` and :meth:`resync`, yield ``(stream_id,
+    from_seq, upto)`` replays instead and are sent back ``(events,
+    first_available)``: the transport runs each through its public
+    ``replay``.  The parameters are :class:`DetectionClient`'s.
+    """
+
+    def __init__(
+        self,
+        on_gap=None,
+        auto_replay: bool = True,
+        resume_seqs: Mapping[str, int] | None = None,
+        max_protocol: int = protocol.PROTOCOL_VERSION,
+    ) -> None:
+        if not protocol.BASELINE_VERSION <= max_protocol <= protocol.PROTOCOL_VERSION:
+            raise ValueError(
+                f"max_protocol must be in [{protocol.BASELINE_VERSION}, "
+                f"{protocol.PROTOCOL_VERSION}], got {max_protocol}"
+            )
+        self.max_protocol = max_protocol
+        self.version = protocol.BASELINE_VERSION
+        self.handles = _HandleRegistry()
+        self.on_gap = on_gap
+        self.auto_replay = bool(auto_replay)
+        self.scope = "own"
+        # Per stream (named as delivered), the last seq handed to the
+        # consumer; seeded from resume_seqs on a reconnect.
+        self.last_seq: dict[str, int] = dict(resume_seqs or {})
+
+    def encode(self, ftype: FrameType, meta=None, arrays: Iterable = ()) -> list:
+        """The buffers of one JSON-meta frame at the negotiated version."""
+        return protocol.encode_frame(ftype, meta, arrays, version=self.version)
+
+    def events_of(self, frame: Frame) -> list[PeriodStartEvent]:
+        """Decode the events of a reply or push, JSON or binary."""
+        if frame.type in (FrameType.EVENTS_HOT, FrameType.EVENT_HOT):
+            return self.handles.decode_events(frame)
+        return _events_from_frame(frame)
+
+    # Operations; the client methods of the same name document them.
+    def request(self, ftype: FrameType, meta=None, arrays: Iterable = ()):
+        """One request; returns its reply, BUSY and ERROR raised."""
+        return _check((yield self.encode(ftype, meta, arrays)))
+
+    def hello(self, namespace: str | None, fresh: bool, token: str | None):
+        """The handshake: settles :attr:`version`, returns the server info."""
+        meta: dict = {"namespace": namespace, "fresh": bool(fresh)}
+        if token is not None:
+            meta["token"] = token
+        if self.max_protocol > protocol.BASELINE_VERSION:
+            # A v2 peer has no "protocol" key; omitting it at
+            # max_protocol=2 keeps the frozen-v2 handshake byte-identical.
+            meta["protocol"] = self.max_protocol
+        reply = yield from self.request(FrameType.HELLO, meta)
+        offered = reply.meta.get("protocol", protocol.BASELINE_VERSION)
+        self.version = max(
+            protocol.BASELINE_VERSION, min(int(offered), self.max_protocol)
+        )
+        return reply.meta
+
+    def register(self, ids: Sequence[str]):
+        """Handles for ``ids``, registering the missing ones (one request)."""
+        known = self.handles.of_name
+        missing = [sid for sid in ids if sid not in known]
+        if missing:
+            reply = yield from self.request(FrameType.REGISTER, {"streams": missing})
+            for sid, handle in zip(missing, reply.meta["handles"]):
+                self.handles.learn(sid, int(handle))
+        return [known[sid] for sid in ids]
+
+    def ingest(self, ids, matrix, arrays=None, *, lockstep=False, register=True):
+        """One ingest request; returns its period-start events.
+
+        On v3 a wire-codeable ``matrix`` (one row per id) goes as a hot
+        frame, else ``arrays`` (default: its rows, or all of it for
+        ``lockstep``) as JSON.  ``register=False``: no REGISTER, so ids
+        not interned yet take the JSON frame.
+        """
+        ids = list(ids)
+        if matrix is not None and (matrix.ndim != 2 or matrix.shape[0] != len(ids)):
+            raise ValueError("ingest_rows needs one matrix row per stream id")
+        if (
+            matrix is not None
+            and self.version >= 3
+            and protocol.hot_dtype_code(matrix.dtype) is not None
+            and (register or all(sid in self.handles.of_name for sid in ids))
+        ):
+            handles = yield from self.register(ids)
+            ftype = FrameType.LOCKSTEP_HOT if lockstep else FrameType.INGEST_HOT
+            reply = yield protocol.encode_hot_ingest(
+                ftype, handles, matrix, version=self.version
+            )
+        else:
+            if arrays is None:
+                arrays = [np.ascontiguousarray(matrix)] if lockstep else list(matrix)
+            ftype = FrameType.INGEST_LOCKSTEP if lockstep else FrameType.INGEST
+            reply = yield self.encode(ftype, {"streams": ids}, arrays)
+        return self.events_of(_check(reply))
+
+    def ingest_many(self, batches: Mapping, register: bool = True):
+        ids = list(batches)
+        arrays = [np.ascontiguousarray(np.asarray(batches[s]).ravel()) for s in ids]
+        matrix = _hot_matrix(arrays) if self.version >= 3 else None
+        return (yield from self.ingest(ids, matrix, arrays, register=register))
+
+    def ingest_lockstep(self, traces: Mapping):
+        ids = list(traces)
+        matrix = np.stack([np.asarray(traces[sid]).ravel() for sid in ids])
+        return (yield from self.ingest(ids, matrix, [matrix], lockstep=True))
+
+    def subscribe(self, scope: str):
+        yield from self.request(FrameType.SUBSCRIBE, {"scope": scope})
+        self.scope = scope
+
+    def replay(self, stream_id: str, from_seq: int, upto=None, scope=None):
+        meta: dict = {
+            "stream": stream_id,
+            "from_seq": int(from_seq),
+            "scope": scope or self.scope,
+        }
+        if upto is not None:
+            meta["upto"] = int(upto)
+        frame = yield self.encode(FrameType.REPLAY, meta)
+        if frame.type == FrameType.EVENTS_GAP:
+            return _events_from_frame(frame), int(frame.meta["first_available"])
+        return _events_from_frame(_check(frame)), None
+
+    def snapshot(self, stream_ids: Sequence[str] | None):
+        meta = {"streams": list(stream_ids)} if stream_ids is not None else {}
+        reply = yield from self.request(FrameType.SNAPSHOT, meta)
+        return protocol.unpack_object(reply.meta["states"], reply.arrays)
+
+    def restore(self, states: Mapping[str, dict]):
+        tree, arrays = protocol.pack_object(dict(states))
+        reply = yield from self.request(FrameType.RESTORE, {"states": tree}, arrays)
+        return int(reply.meta["restored"])
+
+    def remove_streams(self, stream_ids: Sequence[str]):
+        meta = {"streams": list(stream_ids)}
+        return int((yield from self.request(FrameType.REMOVE, meta)).meta["removed"])
+
+    def stats(self, periods: bool):
+        return (yield from self.request(FrameType.STATS, {"periods": periods})).meta
+
+    # Plans: seq tracking over replays.
+    def splice(self, batch: list[PeriodStartEvent]):
+        """Deliver one pushed batch with its seq gaps replayed in front.
+
+        For every event whose seq jumps past the stream's last delivered
+        seq, the missed range is replayed (bounded: ``[last + 1, seq)``,
+        so nothing already in hand is re-fetched) and inserted in front
+        of it; an unrecoverable head fires ``on_gap`` exactly once.  A
+        seq at or below the last delivered one resets the baseline — the
+        stream was re-created (LRU eviction, ``fresh`` reconnect), not
+        rewound.
+        """
+        out: list[PeriodStartEvent] = []
+        for event in batch:
+            if event.seq < 0:  # unsequenced (pre-seq server): pass through
+                out.append(event)
+                continue
+            last = self.last_seq.get(event.stream_id)
+            if self.auto_replay and last is not None and event.seq > last + 1:
+                recovered, first_available = yield event.stream_id, last + 1, event.seq
+                if first_available is not None and self.on_gap is not None:
+                    self.on_gap(event.stream_id, last + 1, first_available)
+                out.extend(recovered)
+            self.last_seq[event.stream_id] = event.seq
+            out.append(event)
+        return out
+
+    def resync(self, stream_ids: Iterable[str]):
+        """Replay every stream's tail after its last delivered seq."""
+        out: list[PeriodStartEvent] = []
+        for stream_id in stream_ids:
+            from_seq = self.last_seq.get(stream_id, -1) + 1
+            events, first_available = yield stream_id, from_seq, None
+            if first_available is not None:
+                if self.on_gap is not None:
+                    self.on_gap(stream_id, from_seq, first_available)
+                # Advance past the reported loss so it is not re-reported
+                # by the next resync or push-revealed replay.  (An
+                # unknown-extent loss — first_available == from_seq, the
+                # journal never saw the stream — cannot advance anything
+                # and is re-reported by every explicit resync until a
+                # live push re-baselines the stream.)
+                self.last_seq[stream_id] = max(
+                    self.last_seq.get(stream_id, -1), first_available - 1
+                )
+            for event in events:
+                self.last_seq[stream_id] = event.seq
+            out.extend(events)
+        return out
+
+
+class _Transport:
+    """What both transports read off their session."""
+
+    _session: _Session
+
+    @property
+    def protocol_version(self) -> int:
+        """The negotiated wire protocol version of this connection."""
+        return self._session.version
+
+    @property
+    def last_seqs(self) -> dict[str, int]:
+        """Last delivered seq per stream — hand to ``resume_seqs`` on
+        reconnect to recover everything missed while disconnected."""
+        return dict(self._session.last_seq)
+
+    def _replay_gap(self, gap):
+        """A plan's replay, issued through the public ``replay``."""
+        stream_id, from_seq, upto = gap
+        return self.replay(stream_id, from_seq, upto=upto)  # type: ignore[attr-defined]
+
+
+class DetectionClient(_Transport):
     """Blocking client of a :class:`~repro.server.server.DetectionServer`.
 
     Parameters
@@ -183,8 +409,7 @@ class DetectionClient:
         (TLS), or a bare ``"HOST:PORT"``.  The endpoint carries the TLS
         parameters and the auth token; the keyword ``token`` /
         ``tls_ca`` / ``tls_insecure`` / ``timeout`` arguments override
-        its fields.  The old positional ``host, port`` pair still works
-        as a deprecated shim (it warns ``DeprecationWarning``).
+        its fields.
     namespace:
         Stream namespace on the server.  ``None`` lets the server assign
         a fresh one; pass a stable name to reconnect to previous streams
@@ -239,7 +464,6 @@ class DetectionClient:
     def __init__(
         self,
         endpoint: "Endpoint | str",
-        port: int | None = None,
         *,
         namespace: str | None = None,
         fresh: bool = False,
@@ -256,20 +480,12 @@ class DetectionClient:
     ) -> None:
         self.endpoint = resolve_endpoint(
             endpoint,
-            port,
             token=token,
             tls_ca=tls_ca,
             tls_insecure=tls_insecure,
             timeout=timeout,
         )
-        if not (
-            protocol.BASELINE_VERSION <= max_protocol <= protocol.PROTOCOL_VERSION
-        ):
-            raise ValueError(
-                f"max_protocol must be in "
-                f"[{protocol.BASELINE_VERSION}, {protocol.PROTOCOL_VERSION}], "
-                f"got {max_protocol}"
-            )
+        self._session = _Session(on_gap, auto_replay, resume_seqs, max_protocol)
         last_error: Exception | None = None
         self._sock: socket.socket | None = None
         for attempt in range(connect_retries + 1):
@@ -286,35 +502,16 @@ class DetectionClient:
         self._events: list[list[PeriodStartEvent]] = []  # buffered pushes
         self._closed = False
         self._saw_bye = False
-        self._on_gap = on_gap
-        self._auto_replay = bool(auto_replay)
-        self._scope = "own"
-        # Per stream (named as delivered), the last seq handed to the
-        # consumer; seeded from resume_seqs on a reconnect.
-        self._last_seq: dict[str, int] = dict(resume_seqs or {})
-        self._max_protocol = max_protocol
-        self._version = protocol.BASELINE_VERSION
-        self._handles = _HandleRegistry()
-        hello_meta: dict = {"namespace": namespace, "fresh": bool(fresh)}
-        if self.endpoint.token is not None:
-            hello_meta["token"] = self.endpoint.token
-        if max_protocol > protocol.BASELINE_VERSION:
-            # A v2 peer has no "protocol" key; omitting it at
-            # max_protocol=2 keeps the frozen-v2 handshake byte-identical.
-            hello_meta["protocol"] = max_protocol
         try:
-            reply = self._request(FrameType.HELLO, hello_meta)
+            self.server_info = self._run(
+                self._session.hello(namespace, fresh, self.endpoint.token)
+            )
         except BaseException:
             # A failed handshake (ERROR reply, rejected token, draining
             # server, protocol mismatch) must not leak the socket.
             self._sock.close()
             raise
-        self.server_info = reply.meta
-        self.namespace = reply.meta["namespace"]
-        offered = reply.meta.get("protocol", protocol.BASELINE_VERSION)
-        self._version = max(
-            protocol.BASELINE_VERSION, min(int(offered), max_protocol)
-        )
+        self.namespace = self.server_info["namespace"]
 
     @staticmethod
     def _open_socket(endpoint: Endpoint) -> socket.socket:
@@ -337,82 +534,46 @@ class DetectionClient:
             sock.close()
             raise
 
-    @property
-    def protocol_version(self) -> int:
-        """The negotiated wire protocol version of this connection."""
-        return self._version
-
-    # ------------------------------------------------------------------
-    # plumbing
-    # ------------------------------------------------------------------
-    def _send(
-        self, ftype: FrameType, meta=None, arrays: Iterable[np.ndarray] = ()
-    ) -> None:
+    # Plumbing.
+    def _send(self, buffers: Sequence) -> None:
         if self._closed:
             raise ConnectionClosedError("client is closed")
         if self._saw_bye:
             raise ConnectionClosedError("server is draining (BYE received)")
-        protocol.write_frame(self._sock, ftype, meta, arrays, version=self._version)
+        protocol.send_buffers(self._sock, buffers)
 
-    def _send_hot(self, ftype: FrameType, handles, matrix: np.ndarray) -> None:
-        """Ship a pre-validated hot ingest frame (v3 connections only)."""
-        if self._closed:
-            raise ConnectionClosedError("client is closed")
-        if self._saw_bye:
+    def _read_frame(self) -> Frame:
+        frame = protocol.read_frame(self._sock)
+        if frame.type == FrameType.BYE:
+            self._saw_bye = True
             raise ConnectionClosedError("server is draining (BYE received)")
-        protocol.send_buffers(
-            self._sock,
-            protocol.encode_hot_ingest(ftype, handles, matrix, version=self._version),
-        )
-
-    def _events_of(self, frame: Frame) -> list[PeriodStartEvent]:
-        """Decode an events reply, JSON (EVENTS) or binary (EVENTS_HOT)."""
-        if frame.type in (FrameType.EVENTS_HOT, FrameType.EVENT_HOT):
-            return self._handles.decode_events(frame)
-        return _events_from_frame(frame)
+        return frame
 
     def _read_reply(self) -> Frame:
         """Next non-push frame; EVENT pushes are buffered on the side."""
-        while True:
-            frame = protocol.read_frame(self._sock)
-            if frame.type == FrameType.EVENT:
-                self._events.append(_events_from_frame(frame))
-                continue
-            if frame.type == FrameType.EVENT_HOT:
-                self._events.append(self._handles.decode_events(frame))
-                continue
-            if frame.type == FrameType.BYE:
-                self._saw_bye = True
-                raise ConnectionClosedError("server is draining (BYE received)")
-            return frame
-
-    def _ensure_handles(self, ids: Sequence[str]) -> list[int]:
-        """Handles for ``ids``, registering the missing ones (one request)."""
-        known = self._handles.of_name
-        missing = [sid for sid in ids if sid not in known]
-        if missing:
-            reply = self._request(FrameType.REGISTER, {"streams": missing})
-            for sid, handle in zip(missing, reply.meta["handles"]):
-                self._handles.learn(sid, int(handle))
-        return [known[sid] for sid in ids]
-
-    def _request(
-        self, ftype: FrameType, meta=None, arrays: Iterable[np.ndarray] = ()
-    ) -> Frame:
-        self._send(ftype, meta, arrays)
-        return self._check(self._read_reply())
-
-    @staticmethod
-    def _check(frame: Frame) -> Frame:
-        if frame.type == FrameType.BUSY:
-            raise ServerBusy(f"server busy (inflight={frame.meta.get('inflight')})")
-        if frame.type == FrameType.ERROR:
-            raise ServerError(frame.meta.get("message", "unknown server error"))
+        while (frame := self._read_frame()).type in _PUSHES:
+            self._events.append(self._session.events_of(frame))
         return frame
 
-    # ------------------------------------------------------------------
-    # ingestion
-    # ------------------------------------------------------------------
+    def _roundtrip(self, buffers: Sequence) -> Frame:
+        self._send(buffers)
+        return self._read_reply()
+
+    @staticmethod
+    def _drive(op, step, result=None):
+        """Run a session operation or plan: each request it yields goes
+        through ``step``, whose result is sent back (``result`` resumes
+        an operation whose request is already out)."""
+        try:
+            while True:
+                result = step(op.send(result))
+        except StopIteration as done:
+            return done.value
+
+    def _run(self, op, reply: Frame | None = None):
+        return self._drive(op, self._roundtrip, reply)
+
+    # Ingestion.
     def ingest(self, stream_id: str, samples) -> list[PeriodStartEvent]:
         """Feed one batch into one stream; returns its period-start events."""
         return self.ingest_many({stream_id: samples})
@@ -421,30 +582,13 @@ class DetectionClient:
         self, batches: Mapping[str, Sequence | np.ndarray]
     ) -> list[PeriodStartEvent]:
         """Feed one batch per stream in a single request/reply round trip."""
-        ids = list(batches)
-        arrays = [_as_batch(batches[sid]) for sid in ids]
-        matrix = _hot_matrix(arrays) if self._version >= 3 else None
-        if matrix is not None:
-            handles = self._ensure_handles(ids)
-            self._send_hot(FrameType.INGEST_HOT, handles, matrix)
-            return self._events_of(self._check(self._read_reply()))
-        reply = self._request(FrameType.INGEST, {"streams": ids}, arrays)
-        return _events_from_frame(reply)
+        return self._run(self._session.ingest_many(batches))
 
     def ingest_lockstep(
         self, traces: Mapping[str, Sequence | np.ndarray]
     ) -> list[PeriodStartEvent]:
         """Feed equally long traces into many streams as one 2-D matrix."""
-        ids = list(traces)
-        matrix = np.ascontiguousarray(
-            np.stack([np.asarray(traces[sid]).ravel() for sid in ids])
-        )
-        if self._version >= 3 and protocol.hot_dtype_code(matrix.dtype) is not None:
-            handles = self._ensure_handles(ids)
-            self._send_hot(FrameType.LOCKSTEP_HOT, handles, matrix)
-            return self._events_of(self._check(self._read_reply()))
-        reply = self._request(FrameType.INGEST_LOCKSTEP, {"streams": ids}, [matrix])
-        return _events_from_frame(reply)
+        return self._run(self._session.ingest_lockstep(traces))
 
     def pipeline(
         self,
@@ -463,13 +607,14 @@ class DetectionClient:
         if on_busy not in ("raise", "count"):
             raise ValueError("on_busy must be 'raise' or 'count'")
         events: list[PeriodStartEvent] = []
-        outstanding = 0
+        in_flight: list = []  # operations awaiting their reply, FIFO
         busy: ServerBusy | None = None
 
         def collect_one() -> None:
-            nonlocal outstanding, busy
+            nonlocal busy
+            op = in_flight.pop(0)
             try:
-                frame = self._check(self._read_reply())
+                events.extend(self._run(op, self._read_reply()))
             except ServerBusy as exc:
                 # Never raise with replies still outstanding: the
                 # request/reply FIFO must stay paired or every later
@@ -477,37 +622,19 @@ class DetectionClient:
                 self.busy_replies += 1
                 if on_busy == "raise" and busy is None:
                     busy = exc
-            else:
-                events.extend(self._events_of(frame))
-            finally:
-                outstanding -= 1
 
-        for batches in requests:
+        for n, batches in enumerate(requests):
             if busy is not None:
                 break  # stop feeding a server that already said BUSY
-            ids = list(batches)
-            arrays = [_as_batch(batches[sid]) for sid in ids]
-            matrix = _hot_matrix(arrays) if self._version >= 3 else None
-            handles = None
-            if matrix is not None:
-                known = self._handles.of_name
-                if all(sid in known for sid in ids):
-                    handles = [known[sid] for sid in ids]
-                elif outstanding == 0:
-                    # REGISTER is its own request/reply; only safe with
-                    # nothing in flight (the reply FIFO must stay
-                    # paired).  In the steady state every id is already
-                    # interned and this round trip never happens.
-                    handles = self._ensure_handles(ids)
-                # else: unregistered ids mid-flight -> JSON fallback
-            if handles is not None:
-                self._send_hot(FrameType.INGEST_HOT, handles, matrix)
-            else:
-                self._send(FrameType.INGEST, {"streams": ids}, arrays)
-            outstanding += 1
-            while outstanding >= window:
+            # Only the first request may REGISTER new ids (a round trip of
+            # its own, so it completes before the next is sent: the reply
+            # FIFO must stay paired); later new ids take the JSON frame.
+            op = self._session.ingest_many(batches, register=not n)
+            self._send(next(op))
+            in_flight.append(op)
+            while len(in_flight) >= (window if n else 1):
                 collect_one()
-        while outstanding:
+        while in_flight:
             collect_one()
         if busy is not None:
             raise busy
@@ -515,19 +642,10 @@ class DetectionClient:
 
     busy_replies: int = 0
 
-    # ------------------------------------------------------------------
-    # subscriptions
-    # ------------------------------------------------------------------
-    @property
-    def last_seqs(self) -> dict[str, int]:
-        """Last delivered seq per stream — hand to ``resume_seqs`` on
-        reconnect to recover everything missed while disconnected."""
-        return dict(self._last_seq)
-
+    # Subscriptions.
     def subscribe(self, scope: str = "own") -> None:
         """Receive EVENT pushes for ``"own"`` streams or ``"all"`` streams."""
-        self._request(FrameType.SUBSCRIBE, {"scope": scope})
-        self._scope = scope
+        self._run(self._session.subscribe(scope))
 
     def replay(
         self,
@@ -548,18 +666,7 @@ class DetectionClient:
         scope: ``"own"`` resolves ``stream_id`` inside this connection's
         namespace, ``"all"`` takes a full ``<namespace>/<stream>`` id.
         """
-        meta: dict = {
-            "stream": stream_id,
-            "from_seq": int(from_seq),
-            "scope": scope or self._scope,
-        }
-        if upto is not None:
-            meta["upto"] = int(upto)
-        self._send(FrameType.REPLAY, meta)
-        frame = self._read_reply()
-        if frame.type == FrameType.EVENTS_GAP:
-            return _events_from_frame(frame), int(frame.meta["first_available"])
-        return _events_from_frame(self._check(frame)), None
+        return self._run(self._session.replay(stream_id, from_seq, upto, scope))
 
     def resync(self, stream_ids: Iterable[str]) -> list[PeriodStartEvent]:
         """Catch up to the journal's tail without waiting for a push.
@@ -574,54 +681,7 @@ class DetectionClient:
         producer pause) — events pushed concurrently with a resync may
         be delivered twice.
         """
-        out: list[PeriodStartEvent] = []
-        for stream_id in stream_ids:
-            from_seq = self._last_seq.get(stream_id, -1) + 1
-            events, first_available = self.replay(stream_id, from_seq)
-            if first_available is not None:
-                if self._on_gap is not None:
-                    self._on_gap(stream_id, from_seq, first_available)
-                # Advance past the reported loss so it is not re-reported
-                # by the next resync or push-revealed replay.  (An
-                # unknown-extent loss — first_available == from_seq, the
-                # journal never saw the stream — cannot advance anything
-                # and is re-reported by every explicit resync until a
-                # live push re-baselines the stream.)
-                self._last_seq[stream_id] = max(
-                    self._last_seq.get(stream_id, -1), first_available - 1
-                )
-            for event in events:
-                self._last_seq[stream_id] = event.seq
-            out.extend(events)
-        return out
-
-    def _resolve_gaps(self, batch: list[PeriodStartEvent]) -> list[PeriodStartEvent]:
-        """Splice automatically replayed events into a pushed batch.
-
-        For every event whose seq jumps past the stream's last delivered
-        seq, the missed range is replayed (bounded: ``[last + 1, seq)``,
-        so nothing already in hand is re-fetched) and inserted in front
-        of it; an unrecoverable head fires ``on_gap`` exactly once.  A
-        seq at or below the last delivered one resets the baseline — the
-        stream was re-created (LRU eviction, ``fresh`` reconnect), not
-        rewound.
-        """
-        out: list[PeriodStartEvent] = []
-        for event in batch:
-            if event.seq < 0:  # unsequenced (pre-seq server): pass through
-                out.append(event)
-                continue
-            last = self._last_seq.get(event.stream_id)
-            if self._auto_replay and last is not None and event.seq > last + 1:
-                recovered, first_available = self.replay(
-                    event.stream_id, last + 1, upto=event.seq
-                )
-                if first_available is not None and self._on_gap is not None:
-                    self._on_gap(event.stream_id, last + 1, first_available)
-                out.extend(recovered)
-            self._last_seq[event.stream_id] = event.seq
-            out.append(event)
-        return out
+        return self._drive(self._session.resync(stream_ids), self._replay_gap)
 
     def next_events(
         self, timeout: float | None = None
@@ -640,53 +700,44 @@ class DetectionClient:
         connection permanently desynchronised.
         """
         if self._events:
-            return self._resolve_gaps(self._events.pop(0))
-        if timeout is not None:
-            readable, _, _ = select.select([self._sock], [], [], timeout)
-            if not readable:
-                return None
-        frame = protocol.read_frame(self._sock)
-        if frame.type == FrameType.EVENT:
-            return self._resolve_gaps(_events_from_frame(frame))
-        if frame.type == FrameType.EVENT_HOT:
-            return self._resolve_gaps(self._handles.decode_events(frame))
-        if frame.type == FrameType.BYE:
-            self._saw_bye = True
-            raise ConnectionClosedError("server is draining (BYE received)")
-        raise ProtocolError(f"unexpected {frame.type.name} frame outside a request")
+            batch = self._events.pop(0)
+        else:
+            if timeout is not None:
+                readable, _, _ = select.select([self._sock], [], [], timeout)
+                if not readable:
+                    return None
+            frame = self._read_frame()
+            if frame.type not in _PUSHES:
+                raise ProtocolError(
+                    f"unexpected {frame.type.name} frame outside a request"
+                )
+            batch = self._session.events_of(frame)
+        return self._drive(self._session.splice(batch), self._replay_gap)
 
-    # ------------------------------------------------------------------
-    # state + stats
-    # ------------------------------------------------------------------
+    # State and stats.
     def snapshot(self, stream_ids: Sequence[str] | None = None) -> dict[str, dict]:
         """Engine snapshots of (some of) this namespace's streams.
 
         Returns ``stream_id -> {"state", "samples", "events"}`` — opaque
         blobs to hand back to :meth:`restore` after a reconnect.
         """
-        meta = {"streams": list(stream_ids)} if stream_ids is not None else {}
-        reply = self._request(FrameType.SNAPSHOT, meta)
-        return protocol.unpack_object(reply.meta["states"], reply.arrays)
+        return self._run(self._session.snapshot(stream_ids))
 
     def restore(self, states: Mapping[str, dict]) -> int:
         """Reinstate streams from :meth:`snapshot` blobs; returns the count."""
-        tree, arrays = protocol.pack_object(dict(states))
-        reply = self._request(FrameType.RESTORE, {"states": tree}, arrays)
-        return int(reply.meta["restored"])
+        return self._run(self._session.restore(states))
 
     def remove_streams(self, stream_ids: Sequence[str]) -> int:
         """Drop named streams from this namespace; returns how many were
         resident.  The namespace's journal keeps their already-produced
         events replayable (see the server's REMOVE handler)."""
-        reply = self._request(FrameType.REMOVE, {"streams": list(stream_ids)})
-        return int(reply.meta["removed"])
+        return self._run(self._session.remove_streams(stream_ids))
 
     def stats(self, *, periods: bool = False) -> dict:
         """Pool + server statistics; ``periods=True`` adds this
         namespace's per-stream locked periods."""
-        return self._request(FrameType.STATS, {"periods": periods}).meta
+        return self._run(self._session.stats(periods))
 
-    # ------------------------------------------------------------------
     def close(self) -> None:
         """Close the connection (idempotent)."""
         if not self._closed:
@@ -703,7 +754,15 @@ class DetectionClient:
         self.close()
 
 
-class AsyncDetectionClient:
+async def _within(timeout: float | None, awaitable):
+    """Await, raising the builtin (OSError) TimeoutError after ``timeout``."""
+    try:
+        return await asyncio.wait_for(awaitable, timeout)
+    except asyncio.TimeoutError as exc:  # distinct from TimeoutError on 3.10
+        raise TimeoutError(f"no answer within {timeout} s") from exc
+
+
+class AsyncDetectionClient(_Transport):
     """Asyncio client; create it with :meth:`connect`.
 
     A background reader task demultiplexes the socket: replies resolve
@@ -730,6 +789,7 @@ class AsyncDetectionClient:
         resume_seqs: Mapping[str, int] | None = None,
         max_protocol: int = protocol.PROTOCOL_VERSION,
     ) -> None:
+        self._session = _Session(on_gap, auto_replay, resume_seqs, max_protocol)
         self._reader = reader
         self._writer = writer
         self._pending: list[asyncio.Future] = []
@@ -742,34 +802,11 @@ class AsyncDetectionClient:
         self.namespace = ""
         self.server_info: dict = {}
         self.endpoint: Endpoint | None = None
-        self._on_gap = on_gap
-        self._auto_replay = bool(auto_replay)
-        self._scope = "own"
-        if not (
-            protocol.BASELINE_VERSION <= max_protocol <= protocol.PROTOCOL_VERSION
-        ):
-            raise ValueError(
-                f"max_protocol must be in "
-                f"[{protocol.BASELINE_VERSION}, {protocol.PROTOCOL_VERSION}], "
-                f"got {max_protocol}"
-            )
-        self._max_protocol = max_protocol
-        self._version = protocol.BASELINE_VERSION
-        self._handles = _HandleRegistry()
-        # Per stream (named as delivered), the last seq handed to the
-        # consumer; seeded from resume_seqs on a reconnect.
-        self._last_seq: dict[str, int] = dict(resume_seqs or {})
-
-    @property
-    def protocol_version(self) -> int:
-        """The negotiated wire protocol version of this connection."""
-        return self._version
 
     @classmethod
     async def connect(
         cls,
         endpoint: "Endpoint | str",
-        port: int | None = None,
         *,
         namespace: str | None = None,
         fresh: bool = False,
@@ -786,39 +823,34 @@ class AsyncDetectionClient:
         """Connect and handshake.
 
         ``endpoint`` follows :class:`DetectionClient`: an
-        :class:`~repro.server.endpoint.Endpoint`, a ``repro://`` /
-        ``repros://`` URL string, or the deprecated positional ``host,
-        port`` pair.  ``connect_retries`` / ``retry_delay`` retry
-        refused/reset connects with the same bounded exponential
+        :class:`~repro.server.endpoint.Endpoint` or a ``repro://`` /
+        ``repros://`` URL string.  ``connect_retries`` / ``retry_delay``
+        retry refused/reset connects with the same bounded exponential
         backoff + jitter as the blocking client (:func:`backoff_delay`)
         — the router leans on this to ride out a backend respawn.
         Every attempt builds a fresh TLS context and the HELLO it
         completes re-presents the endpoint's auth token, so a restarted
-        TLS+auth backend is rejoined with full credentials."""
+        TLS+auth backend is rejoined with full credentials.  The
+        endpoint's ``timeout`` bounds each connect attempt (TCP and TLS)
+        and the HELLO, as the blocking client's socket timeout does; a
+        silent peer raises :class:`TimeoutError`."""
         resolved = resolve_endpoint(
-            endpoint,
-            port,
-            token=token,
-            tls_ca=tls_ca,
-            tls_insecure=tls_insecure,
-            _deprecated_caller="AsyncDetectionClient.connect",
+            endpoint, token=token, tls_ca=tls_ca, tls_insecure=tls_insecure
         )
         reader = writer = None
         last_error: Exception | None = None
         for attempt in range(connect_retries + 1):
             try:
                 ssl_context = resolved.client_ssl_context()  # fresh per try
-                if ssl_context is not None:
-                    reader, writer = await asyncio.open_connection(
+                reader, writer = await _within(
+                    resolved.timeout,
+                    asyncio.open_connection(
                         resolved.host,
                         resolved.port,
                         ssl=ssl_context,
-                        server_hostname=resolved.host,
-                    )
-                else:
-                    reader, writer = await asyncio.open_connection(
-                        resolved.host, resolved.port
-                    )
+                        server_hostname=resolved.host if ssl_context else None,
+                    ),
+                )
                 break
             except _RETRYABLE_CONNECT_ERRORS as exc:
                 last_error = exc
@@ -826,62 +858,40 @@ class AsyncDetectionClient:
                     await asyncio.sleep(backoff_delay(attempt, retry_delay))
         if reader is None:
             raise last_error  # type: ignore[misc]
-        client = cls(
-            reader,
-            writer,
-            namespace,
-            fresh,
-            on_gap,
-            auto_replay,
-            resume_seqs,
-            max_protocol,
-        )
+        options = (on_gap, auto_replay, resume_seqs, max_protocol)
+        client = cls(reader, writer, namespace, fresh, *options)
         client.endpoint = resolved
         client._reader_task = asyncio.ensure_future(client._read_loop())
-        hello_meta: dict = {"namespace": namespace, "fresh": bool(fresh)}
-        if resolved.token is not None:
-            hello_meta["token"] = resolved.token
-        if max_protocol > protocol.BASELINE_VERSION:
-            hello_meta["protocol"] = max_protocol
         try:
-            reply = await client._request(FrameType.HELLO, hello_meta)
+            client.server_info = await _within(
+                resolved.timeout,
+                client._run(client._session.hello(namespace, fresh, resolved.token)),
+            )
         except BaseException:
-            # A failed handshake (rejected token, draining server) must
-            # not leak the reader task + writer transport.
+            # A failed handshake (rejected token, draining server, silent
+            # peer) must not leak the reader task + writer transport.
             await client.close()
             raise
-        client.server_info = reply.meta
-        client.namespace = reply.meta["namespace"]
-        offered = reply.meta.get("protocol", protocol.BASELINE_VERSION)
-        client._version = max(
-            protocol.BASELINE_VERSION, min(int(offered), max_protocol)
-        )
+        client.namespace = client.server_info["namespace"]
         return client
 
-    # ------------------------------------------------------------------
     async def _read_loop(self) -> None:
         try:
             while True:
                 frame = await protocol.read_frame_async(self._reader)
-                if frame.type == FrameType.EVENT:
-                    self.events.put_nowait(_events_from_frame(frame))
-                elif frame.type == FrameType.EVENT_HOT:
-                    self.events.put_nowait(self._handles.decode_events(frame))
+                if frame.type in _PUSHES:
+                    self.events.put_nowait(self._session.events_of(frame))
                 elif frame.type == FrameType.BYE:
                     self._saw_bye = True
                     self._fail_pending(ConnectionClosedError("server is draining"))
+                elif not self._pending:
+                    raise ProtocolError(f"unsolicited {frame.type.name} reply")
                 else:
-                    if not self._pending:
-                        raise ProtocolError(
-                            f"unsolicited {frame.type.name} reply"
-                        )
                     future = self._pending.pop(0)
                     if not future.done():
                         future.set_result(frame)
         except (
-            asyncio.IncompleteReadError,
-            ConnectionError,
-            asyncio.CancelledError,
+            asyncio.IncompleteReadError, ConnectionError, asyncio.CancelledError
         ) as exc:
             self._fail_pending(ConnectionClosedError(f"connection lost: {exc!r}"))
         except ProtocolError as exc:
@@ -904,74 +914,38 @@ class AsyncDetectionClient:
                 f"connection unusable: {self._conn_error}"
             ) from self._conn_error
 
-    async def _request_raw(
-        self, ftype: FrameType, meta=None, arrays: Iterable[np.ndarray] = ()
-    ) -> Frame:
+    async def _roundtrip(self, buffers: Sequence) -> Frame:
         self._check_usable()
         future = asyncio.get_running_loop().create_future()
         self._pending.append(future)
-        self._writer.writelines(
-            protocol.encode_frame(ftype, meta, arrays, version=self._version)
-        )
+        self._writer.writelines(buffers)
         await self._writer.drain()
         return await future
 
-    async def _request(
-        self, ftype: FrameType, meta=None, arrays: Iterable[np.ndarray] = ()
-    ) -> Frame:
-        return DetectionClient._check(await self._request_raw(ftype, meta, arrays))
+    @staticmethod
+    async def _drive(op, step):
+        """:meth:`DetectionClient._drive`, awaiting each ``step``."""
+        result = None
+        try:
+            while True:
+                result = await step(op.send(result))
+        except StopIteration as done:
+            return done.value
 
-    async def _request_hot(
-        self, ftype: FrameType, handles, matrix: np.ndarray
-    ) -> Frame:
-        self._check_usable()
-        future = asyncio.get_running_loop().create_future()
-        self._pending.append(future)
-        self._writer.writelines(
-            protocol.encode_hot_ingest(ftype, handles, matrix, version=self._version)
-        )
-        await self._writer.drain()
-        return DetectionClient._check(await future)
+    def _run(self, op):
+        return self._drive(op, self._roundtrip)
 
-    async def _ensure_handles(self, ids: Sequence[str]) -> list[int]:
-        """Handles for ``ids``, registering the missing ones (one request)."""
-        known = self._handles.of_name
-        missing = [sid for sid in ids if sid not in known]
-        if missing:
-            reply = await self._request(FrameType.REGISTER, {"streams": missing})
-            for sid, handle in zip(missing, reply.meta["handles"]):
-                self._handles.learn(sid, int(handle))
-        return [known[sid] for sid in ids]
-
-    def _events_of(self, frame: Frame) -> list[PeriodStartEvent]:
-        if frame.type in (FrameType.EVENTS_HOT, FrameType.EVENT_HOT):
-            return self._handles.decode_events(frame)
-        return _events_from_frame(frame)
-
-    # ------------------------------------------------------------------
     async def ingest(self, stream_id: str, samples) -> list[PeriodStartEvent]:
         """Feed one batch into one stream."""
         return await self.ingest_many({stream_id: samples})
 
     async def ingest_many(self, batches: Mapping) -> list[PeriodStartEvent]:
         """Feed one batch per stream in one round trip."""
-        ids = list(batches)
-        arrays = [_as_batch(batches[sid]) for sid in ids]
-        matrix = _hot_matrix(arrays) if self._version >= 3 else None
-        if matrix is not None:
-            handles = await self._ensure_handles(ids)
-            reply = await self._request_hot(FrameType.INGEST_HOT, handles, matrix)
-            return self._events_of(reply)
-        reply = await self._request(FrameType.INGEST, {"streams": ids}, arrays)
-        return _events_from_frame(reply)
+        return await self._run(self._session.ingest_many(batches))
 
     async def ingest_lockstep(self, traces: Mapping) -> list[PeriodStartEvent]:
         """Feed equally long traces into many streams as one matrix."""
-        ids = list(traces)
-        matrix = np.ascontiguousarray(
-            np.stack([np.asarray(traces[sid]).ravel() for sid in ids])
-        )
-        return await self.ingest_rows(ids, matrix, lockstep=True)
+        return await self._run(self._session.ingest_lockstep(traces))
 
     async def ingest_rows(
         self, ids: Sequence[str], matrix: np.ndarray, *, lockstep: bool = False
@@ -986,39 +960,11 @@ class AsyncDetectionClient:
         frames (handles re-interned against *this* connection); anything
         else falls back to the JSON frames.
         """
-        ids = list(ids)
-        if matrix.ndim != 2 or matrix.shape[0] != len(ids):
-            raise ValueError("ingest_rows needs one matrix row per stream id")
-        if self._version >= 3 and protocol.hot_dtype_code(matrix.dtype) is not None:
-            handles = await self._ensure_handles(ids)
-            reply = await self._request_hot(
-                FrameType.LOCKSTEP_HOT if lockstep else FrameType.INGEST_HOT,
-                handles,
-                matrix,
-            )
-            return self._events_of(reply)
-        if lockstep:
-            reply = await self._request(
-                FrameType.INGEST_LOCKSTEP,
-                {"streams": ids},
-                [np.ascontiguousarray(matrix)],
-            )
-        else:
-            reply = await self._request(
-                FrameType.INGEST, {"streams": ids}, list(matrix)
-            )
-        return _events_from_frame(reply)
-
-    @property
-    def last_seqs(self) -> dict[str, int]:
-        """Last delivered seq per stream (see
-        :attr:`DetectionClient.last_seqs`)."""
-        return dict(self._last_seq)
+        return await self._run(self._session.ingest(ids, matrix, lockstep=lockstep))
 
     async def subscribe(self, scope: str = "own") -> None:
         """Receive EVENT pushes on :attr:`events`."""
-        await self._request(FrameType.SUBSCRIBE, {"scope": scope})
-        self._scope = scope
+        await self._run(self._session.subscribe(scope))
 
     async def replay(
         self,
@@ -1029,36 +975,12 @@ class AsyncDetectionClient:
         scope: str | None = None,
     ) -> tuple[list[PeriodStartEvent], int | None]:
         """Re-fetch journaled events (see :meth:`DetectionClient.replay`)."""
-        meta: dict = {
-            "stream": stream_id,
-            "from_seq": int(from_seq),
-            "scope": scope or self._scope,
-        }
-        if upto is not None:
-            meta["upto"] = int(upto)
-        frame = await self._request_raw(FrameType.REPLAY, meta)
-        if frame.type == FrameType.EVENTS_GAP:
-            return _events_from_frame(frame), int(frame.meta["first_available"])
-        return _events_from_frame(DetectionClient._check(frame)), None
+        return await self._run(self._session.replay(stream_id, from_seq, upto, scope))
 
     async def resync(self, stream_ids: Iterable[str]) -> list[PeriodStartEvent]:
         """Catch up to the journal's tail without waiting for a push
         (see :meth:`DetectionClient.resync`)."""
-        out: list[PeriodStartEvent] = []
-        for stream_id in stream_ids:
-            from_seq = self._last_seq.get(stream_id, -1) + 1
-            events, first_available = await self.replay(stream_id, from_seq)
-            if first_available is not None:
-                if self._on_gap is not None:
-                    self._on_gap(stream_id, from_seq, first_available)
-                # Advance past the reported loss — see the blocking twin.
-                self._last_seq[stream_id] = max(
-                    self._last_seq.get(stream_id, -1), first_available - 1
-                )
-            for event in events:
-                self._last_seq[stream_id] = event.seq
-            out.extend(events)
-        return out
+        return await self._drive(self._session.resync(stream_ids), self._replay_gap)
 
     async def next_events(
         self, timeout: float | None = None
@@ -1075,46 +997,24 @@ class AsyncDetectionClient:
                 batch = await self.events.get()
         except asyncio.TimeoutError:
             return None
-        out: list[PeriodStartEvent] = []
-        for event in batch:
-            if event.seq < 0:  # unsequenced (pre-seq server): pass through
-                out.append(event)
-                continue
-            last = self._last_seq.get(event.stream_id)
-            if self._auto_replay and last is not None and event.seq > last + 1:
-                recovered, first_available = await self.replay(
-                    event.stream_id, last + 1, upto=event.seq
-                )
-                if first_available is not None and self._on_gap is not None:
-                    self._on_gap(event.stream_id, last + 1, first_available)
-                out.extend(recovered)
-            self._last_seq[event.stream_id] = event.seq
-            out.append(event)
-        return out
+        return await self._drive(self._session.splice(batch), self._replay_gap)
 
     async def snapshot(self, stream_ids=None) -> dict[str, dict]:
         """Engine snapshots of this namespace's streams."""
-        meta = {"streams": list(stream_ids)} if stream_ids is not None else {}
-        reply = await self._request(FrameType.SNAPSHOT, meta)
-        return protocol.unpack_object(reply.meta["states"], reply.arrays)
+        return await self._run(self._session.snapshot(stream_ids))
 
     async def restore(self, states: Mapping[str, dict]) -> int:
         """Reinstate streams from snapshot blobs."""
-        tree, arrays = protocol.pack_object(dict(states))
-        reply = await self._request(FrameType.RESTORE, {"states": tree}, arrays)
-        return int(reply.meta["restored"])
+        return await self._run(self._session.restore(states))
 
     async def remove_streams(self, stream_ids: Sequence[str]) -> int:
         """Drop named streams from this namespace (journal untouched —
         see :meth:`DetectionClient.remove_streams`)."""
-        reply = await self._request(
-            FrameType.REMOVE, {"streams": list(stream_ids)}
-        )
-        return int(reply.meta["removed"])
+        return await self._run(self._session.remove_streams(stream_ids))
 
     async def stats(self, *, periods: bool = False) -> dict:
         """Pool + server statistics."""
-        return (await self._request(FrameType.STATS, {"periods": periods})).meta
+        return await self._run(self._session.stats(periods))
 
     async def close(self) -> None:
         """Close the connection (idempotent)."""

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import ssl
 import urllib.parse
-import warnings
 from dataclasses import dataclass, replace
 
 from repro.util.validation import ValidationError
@@ -190,50 +189,28 @@ def server_ssl_context(cert: str, key: str | None = None) -> ssl.SSLContext:
 
 def resolve_endpoint(
     endpoint,
-    port=None,
     *,
     token=_UNSET,
     tls_ca=_UNSET,
     tls_insecure=_UNSET,
     timeout=_UNSET,
-    _deprecated_caller: str = "DetectionClient",
 ) -> Endpoint:
-    """Normalise the client constructors' first arguments to an Endpoint.
+    """Normalise the client constructors' first argument to an Endpoint.
 
-    Accepts an :class:`Endpoint`, a URL string (``port`` omitted), or
-    the deprecated positional ``host, port`` pair — the latter still
-    works but warns, steering callers to endpoints/URLs.  Explicit
-    keyword ``token``/``tls_ca``/``tls_insecure``/``timeout`` values
-    override whatever the endpoint carried.
+    Accepts an :class:`Endpoint` or a URL string.  Explicit keyword
+    ``token``/``tls_ca``/``tls_insecure``/``timeout`` values override
+    whatever the endpoint carried.
     """
     if isinstance(endpoint, Endpoint):
-        if port is not None:
-            raise TypeError("pass either an Endpoint or (host, port), not both")
         resolved = endpoint
-    elif port is not None:
-        if not isinstance(endpoint, str):
-            raise TypeError(f"host must be a string, got {endpoint!r}")
-        warnings.warn(
-            f"{_deprecated_caller}(host, port) is deprecated; pass an "
-            f"Endpoint or a 'repro://host:port' / 'repros://host:port' URL",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        resolved = Endpoint(host=endpoint, port=int(port))
     elif isinstance(endpoint, str):
         resolved = Endpoint.parse(endpoint)
     else:
         raise TypeError(
-            f"endpoint must be an Endpoint, URL string or (host, port), "
-            f"got {endpoint!r}"
+            f"endpoint must be an Endpoint or a URL string, got {endpoint!r}"
         )
-    updates: dict = {}
-    if token is not _UNSET:
-        updates["token"] = token
-    if tls_ca is not _UNSET:
-        updates["tls_ca"] = tls_ca
     if tls_insecure is not _UNSET:
-        updates["tls_insecure"] = bool(tls_insecure)
-    if timeout is not _UNSET:
-        updates["timeout"] = timeout
+        tls_insecure = bool(tls_insecure)
+    given = dict(token=token, tls_ca=tls_ca, tls_insecure=tls_insecure, timeout=timeout)
+    updates = {name: value for name, value in given.items() if value is not _UNSET}
     return replace(resolved, **updates) if updates else resolved

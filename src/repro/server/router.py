@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+import urllib.parse
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
@@ -120,6 +121,15 @@ def parse_backend(address: str) -> tuple[str, int]:
     except ValueError as exc:
         raise ValidationError(f"bad backend port in {address!r}") from exc
     return host, port
+
+
+def _backend_name(address: str) -> str:
+    """The name a backend is keyed and reported by: the address as
+    given, minus a URL's token, so STATS and logs never carry it."""
+    if "://" not in address:
+        return address
+    split = urllib.parse.urlsplit(address)
+    return split._replace(netloc=split.netloc.rpartition("@")[2]).geturl()
 
 
 @dataclass
@@ -208,7 +218,7 @@ class DetectionRouter(Frontend):
         super().__init__(config or RouterConfig())
         self._backends: dict[str, Endpoint] = {}
         for address in backends:
-            self._backends[address] = self._backend_endpoint(address)
+            self._backends[_backend_name(address)] = self._backend_endpoint(address)
         if not self._backends:
             raise ValidationError("a router needs at least one backend")
         self.ring = HashRing(self._backends, replicas=self.config.replicas)
@@ -266,7 +276,7 @@ class DetectionRouter(Frontend):
     # ------------------------------------------------------------------
     @property
     def backends(self) -> list[str]:
-        """Current backend addresses, sorted."""
+        """Current backend names (see :func:`_backend_name`), sorted."""
         return sorted(self._backends)
 
     async def stop(self) -> None:
@@ -456,15 +466,16 @@ class DetectionRouter(Frontend):
         Returns the number of migrated streams.  The new node must be
         reachable; so must every old owner of a moving stream.
         """
+        name = _backend_name(address)
         async with self._migrate_lock:
-            if address in self._backends:
+            if name in self._backends:
                 return 0
             target = self._backend_endpoint(address)
             self._forward_gate.clear()
             try:
                 await self._forwards_idle.wait()
-                self._backends[address] = target
-                self.ring.add(address)
+                self._backends[name] = target
+                self.ring.add(name)
                 moves = {
                     sid: (old, self.ring.node_of(sid))
                     for sid, old in self._placement.items()
@@ -477,12 +488,12 @@ class DetectionRouter(Frontend):
                 # until the next request touched it.
                 for conn in list(self._connections):
                     if conn.subscription is not None and not conn.dead:
-                        await self._link_client(conn, address)
+                        await self._link_client(conn, name)
             except BaseException:
                 # Failed joins must not leave a half-member node behind.
-                if not any(b == address for b in self._placement.values()):
-                    self.ring.remove(address)
-                    self._backends.pop(address, None)
+                if not any(b == name for b in self._placement.values()):
+                    self.ring.remove(name)
+                    self._backends.pop(name, None)
                 raise
             finally:
                 self._forward_gate.set()
@@ -496,27 +507,28 @@ class DetectionRouter(Frontend):
         The leaving backend must still be reachable (its live stream
         state is the only copy — replicated placement is future work).
         """
+        name = _backend_name(address)
         async with self._migrate_lock:
-            if address not in self._backends:
-                raise ValidationError(f"unknown backend {address!r}")
+            if name not in self._backends:
+                raise ValidationError(f"unknown backend {name!r}")
             if len(self._backends) == 1:
                 raise ValidationError("cannot remove the last backend")
             self._forward_gate.clear()
             try:
                 await self._forwards_idle.wait()
-                self.ring.remove(address)
+                self.ring.remove(name)
                 moves = {
-                    sid: (address, self.ring.node_of(sid))
+                    sid: (name, self.ring.node_of(sid))
                     for sid, old in self._placement.items()
-                    if old == address
+                    if old == name
                 }
                 moved = await self._migrate(moves)
                 for conn in list(self._connections):
-                    await self._drop_link(conn, address)
-                    conn.links.pop(address, None)
-                self._backends.pop(address, None)
+                    await self._drop_link(conn, name)
+                    conn.links.pop(name, None)
+                self._backends.pop(name, None)
             except BaseException:
-                self.ring.add(address)
+                self.ring.add(name)
                 raise
             finally:
                 self._forward_gate.set()

@@ -10,6 +10,7 @@ overrides the client-requested one.
 from __future__ import annotations
 
 import asyncio
+import json
 
 import pytest
 
@@ -243,6 +244,29 @@ class TestRouterAuth:
         with RouterThread([f"{host}:{port}"], config) as (rhost, rport):
             with _client(rhost, rport, namespace="ns") as client:
                 assert client.ingest("app", [1, 2, 3] * 40)
+
+    def test_backend_url_token_never_reported(self, loopback):
+        """A backend named by a token-carrying URL is keyed and reported
+        without the token: not in STATS, not in ``router.backends``."""
+        _, host, port = loopback(
+            pool_config=event_config(),
+            server_config=ServerConfig(auth_token="backend-secret"),
+        )
+        _, host2, port2 = loopback(pool_config=event_config())
+        bare = f"{host2}:{port2}"
+        thread = RouterThread([f"repro://backend-secret@{host}:{port}", bare])
+        with thread as (rhost, rport):
+            with _client(rhost, rport, namespace="ns") as client:
+                assert client.ingest_many({f"s{i}": [1, 2, 3] * 40 for i in range(8)})
+                stats = client.stats()
+            names = sorted([f"repro://{host}:{port}", bare])
+            assert thread.router.backends == names
+            assert "backend-secret" not in json.dumps(stats)
+            assert stats["server"]["router"]["backends"] == names
+            assert sorted(stats["server"]["backends"]) == names
+            # A bare HOST:PORT backend keeps its name, and so its ring
+            # placement.
+            assert bare in stats["server"]["router"]["ring"]["nodes"]
 
     def test_router_without_backend_token_cannot_join(self, loopback):
         thread, host, port = loopback(

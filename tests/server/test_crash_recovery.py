@@ -121,7 +121,7 @@ def test_sigkill_then_restart_resumes_exact_seqs(tmp_path, extra):
 
     proc, host, port = _serve(state, *extra)
     try:
-        with DetectionClient(host, port, namespace="ns") as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="ns") as client:
             for sid, trace in traces.items():
                 half = len(trace) // 2
                 live[sid].extend(client.ingest(sid, trace[:half]))
@@ -135,7 +135,7 @@ def test_sigkill_then_restart_resumes_exact_seqs(tmp_path, extra):
     proc2, host, port = _serve(state, *extra)
     try:
         with DetectionClient(
-            host, port, namespace="ns", on_gap=lambda *a: gaps.append(a)
+            f"repro://{host}:{port}", namespace="ns", on_gap=lambda *a: gaps.append(a)
         ) as client:
             restore = client.stats()["server"]["restore"]
             assert restore["streams"] == len(traces)
@@ -171,7 +171,7 @@ def test_sigkill_mid_checkpoint_loads_contiguous_prefix(tmp_path):
 
     proc, host, port = _serve(state, "--checkpoint-interval", "0.05")
     try:
-        with DetectionClient(host, port, namespace="ns") as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="ns") as client:
             for start in range(0, len(trace), 30):
                 live.extend(client.ingest("app", trace[start : start + 30]))
         _sigkill(proc)  # no sync: a pass is likely mid-write right now
@@ -181,7 +181,7 @@ def test_sigkill_mid_checkpoint_loads_contiguous_prefix(tmp_path):
     proc2, host, port = _serve(state)
     try:
         with DetectionClient(
-            host, port, namespace="ns", on_gap=lambda *a: gaps.append(a)
+            f"repro://{host}:{port}", namespace="ns", on_gap=lambda *a: gaps.append(a)
         ) as client:
             client.stats()  # the store loaded and the daemon answers
             client.subscribe()

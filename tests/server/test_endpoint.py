@@ -98,10 +98,13 @@ class TestResolveEndpoint:
         with pytest.raises(TypeError):
             resolve_endpoint(Endpoint(), 8757)
 
-    def test_host_port_pair_warns(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            ep = resolve_endpoint("localhost", 8757)
-        assert (ep.host, ep.port, ep.tls) == ("localhost", 8757, False)
+    def test_host_port_pair_is_refused(self):
+        with pytest.raises(TypeError):
+            resolve_endpoint("localhost", 8757)
+        with pytest.raises(TypeError):
+            DetectionClient("localhost", 8757)
+        with pytest.raises(TypeError):
+            AsyncDetectionClient.connect("localhost", 8757)
 
     def test_url_string(self):
         ep = resolve_endpoint("repros://h:2", token="t", timeout=None)

@@ -16,8 +16,13 @@ import numpy as np
 import pytest
 
 from _server_helpers import event_config, event_traces, magnitude_traces
-from repro.server.client import AsyncDetectionClient, DetectionClient, ServerError
-from repro.server.protocol import PROTOCOL_VERSION, FrameType
+from repro.server.client import (
+    AsyncDetectionClient,
+    DetectionClient,
+    ServerError,
+    _check,
+)
+from repro.server.protocol import PROTOCOL_VERSION, FrameType, encode_hot_ingest
 from repro.server.server import ServerConfig
 from repro.service.pool import DetectorPool
 
@@ -29,6 +34,13 @@ def keyed(events, strip=""):
             (e.index, e.period, e.new_detection, e.seq)
         )
     return per_stream
+
+
+def hot_ingest(client, handles, matrix):
+    """A hand-made INGEST_HOT frame, sent past the client's own checks."""
+    return encode_hot_ingest(
+        FrameType.INGEST_HOT, handles, matrix, version=client.protocol_version
+    )
 
 
 def direct(traces, namespace, lockstep=False):
@@ -45,37 +57,37 @@ class TestNegotiationMatrix:
     def test_v3_client_v3_server_settles_on_v3(self, loopback):
         _, host, port = loopback()
         traces = event_traces(6, samples=128)
-        with DetectionClient(host, port, namespace="n") as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="n") as client:
             assert client.protocol_version == PROTOCOL_VERSION
             remote = keyed(client.ingest_many(traces))
             stats = client.stats()["server"]
             assert stats["protocol"]["connection"] == PROTOCOL_VERSION
             # The hot path actually carried the ingest: handles were
             # interned for every stream of the fleet.
-            assert set(client._handles.of_name) == set(traces)
+            assert set(client._session.handles.of_name) == set(traces)
         assert remote == direct(traces, "n")
 
     def test_v2_client_v3_server_settles_on_v2(self, loopback):
         """A frozen-v2 client (max_protocol=2) gets pre-v3 behaviour."""
         _, host, port = loopback()
         traces = event_traces(6, samples=128)
-        with DetectionClient(host, port, namespace="n", max_protocol=2) as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="n", max_protocol=2) as client:
             assert client.protocol_version == 2
             remote = keyed(client.ingest_many(traces))
             assert client.stats()["server"]["protocol"]["connection"] == 2
             # No handles were ever interned on a v2 connection.
-            assert client._handles.of_name == {}
+            assert client._session.handles.of_name == {}
         assert remote == direct(traces, "n")
 
     def test_v3_client_v2_server_settles_on_v2(self, loopback):
         """A v3 client against an old server falls back to JSON frames."""
         _, host, port = loopback(server_config=ServerConfig(port=0, max_protocol=2))
         traces = event_traces(6, samples=128)
-        with DetectionClient(host, port, namespace="n") as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="n") as client:
             assert client.protocol_version == 2
             remote = keyed(client.ingest_many(traces))
             lock = keyed(client.ingest_lockstep(traces))
-            assert client._handles.of_name == {}
+            assert client._session.handles.of_name == {}
         assert remote == direct(traces, "n")
         assert lock  # the JSON lockstep path still produced events
 
@@ -89,10 +101,10 @@ class TestNegotiationMatrix:
         negotiation already settled on v2.
         """
         host, port = daemon(max_protocol=2)
-        with DetectionClient(host, port, namespace="n") as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="n") as client:
             with pytest.raises((ServerError, ConnectionError), match="REGISTER|closed"):
-                client._send(FrameType.REGISTER, {"streams": ["x"]})
-                client._check(client._read_reply())
+                client._send(client._session.encode(FrameType.REGISTER, {"streams": ["x"]}))
+                _check(client._read_reply())
                 client._read_reply()  # protocol violations drop the peer
 
 
@@ -103,7 +115,7 @@ class TestV2ClientFullSurface:
             server_config=ServerConfig(port=0, journal_size=4096)
         )
         traces = event_traces(4, samples=96)
-        with DetectionClient(host, port, namespace="n", max_protocol=2) as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="n", max_protocol=2) as client:
             client.subscribe("own")
             events = client.ingest_lockstep(traces)
             assert keyed(events) == direct(traces, "n", lockstep=True)
@@ -118,9 +130,9 @@ class TestV2ClientFullSurface:
         """EVENT (JSON) and EVENT_HOT (binary) pushes carry the same events."""
         _, host, port = loopback()
         traces = event_traces(3, samples=96)
-        with DetectionClient(host, port, namespace="n", max_protocol=2) as old, \
-                DetectionClient(host, port, namespace="n") as new, \
-                DetectionClient(host, port, namespace="n") as writer:
+        with DetectionClient(f"repro://{host}:{port}", namespace="n", max_protocol=2) as old, \
+                DetectionClient(f"repro://{host}:{port}", namespace="n") as new, \
+                DetectionClient(f"repro://{host}:{port}", namespace="n") as writer:
             old.subscribe("all")
             new.subscribe("all")
             produced = writer.ingest_many(traces)
@@ -147,8 +159,8 @@ class TestAsyncNegotiation:
         traces = event_traces(4, samples=96)
 
         async def run():
-            new = await AsyncDetectionClient.connect(host, port, namespace="n")
-            old = await AsyncDetectionClient.connect(host2, port2, namespace="n")
+            new = await AsyncDetectionClient.connect(f"repro://{host}:{port}", namespace="n")
+            old = await AsyncDetectionClient.connect(f"repro://{host2}:{port2}", namespace="n")
             try:
                 assert new.protocol_version == PROTOCOL_VERSION
                 assert old.protocol_version == 2
@@ -170,10 +182,10 @@ class TestHandleFaults:
     def test_unknown_handle_is_an_error_not_a_disconnect(self, loopback):
         _, host, port = loopback()
         matrix = (np.arange(32.0) % 4).reshape(1, -1)
-        with DetectionClient(host, port, namespace="n") as client:
-            client._send_hot(FrameType.INGEST_HOT, [99], matrix)
+        with DetectionClient(f"repro://{host}:{port}", namespace="n") as client:
+            client._send(hot_ingest(client, [99], matrix))
             with pytest.raises(ServerError, match="handle"):
-                client._check(client._read_reply())
+                _check(client._read_reply())
             # Same socket keeps serving requests afterwards.
             assert client.ingest("x", np.arange(64.0) % 4)
             assert client.stats()["server"]["connections"] == 1
@@ -182,14 +194,14 @@ class TestHandleFaults:
         """Handle tables are per-connection: a fresh socket knows none."""
         _, host, port = loopback()
         traces = event_traces(3, samples=64)
-        with DetectionClient(host, port, namespace="n") as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="n") as client:
             client.ingest_many(traces)
-            stale = [client._handles.of_name[sid] for sid in traces]
-        with DetectionClient(host, port, namespace="n") as client:
+            stale = [client._session.handles.of_name[sid] for sid in traces]
+        with DetectionClient(f"repro://{host}:{port}", namespace="n") as client:
             matrix = np.zeros((len(stale), 16))
-            client._send_hot(FrameType.INGEST_HOT, stale, matrix)
+            client._send(hot_ingest(client, stale, matrix))
             with pytest.raises(ServerError, match="handle"):
-                client._check(client._read_reply())
+                _check(client._read_reply())
             # Re-registering on the new connection heals the client.
             assert keyed(client.ingest_many(traces))
 
@@ -201,13 +213,11 @@ class TestHandleFaults:
         any other protocol violation: error out and drop the peer.
         """
         _, host, port = loopback()
-        with DetectionClient(host, port, namespace="n") as client:
-            (handle,) = client._ensure_handles(["x"])
-            client._send_hot(
-                FrameType.INGEST_HOT, [handle, handle], np.zeros((2, 8))
-            )
+        with DetectionClient(f"repro://{host}:{port}", namespace="n") as client:
+            (handle,) = client._run(client._session.register(["x"]))
+            client._send(hot_ingest(client, [handle, handle], np.zeros((2, 8))))
             with pytest.raises((ServerError, ConnectionError)):
-                client._check(client._read_reply())
+                _check(client._read_reply())
                 client._read_reply()  # server tears the connection down
 
     def test_magnitude_mode_hot_path_equivalence(self, loopback):
@@ -221,6 +231,6 @@ class TestHandleFaults:
         )
         _, host, port = loopback(config)
         traces = magnitude_traces(5, samples=192)
-        with DetectionClient(host, port, namespace="m") as v3, \
-                DetectionClient(host, port, namespace="m2", max_protocol=2) as v2:
+        with DetectionClient(f"repro://{host}:{port}", namespace="m") as v3, \
+                DetectionClient(f"repro://{host}:{port}", namespace="m2", max_protocol=2) as v2:
             assert keyed(v3.ingest_many(traces)) == keyed(v2.ingest_many(traces))

@@ -208,7 +208,7 @@ class TestWarmRestart:
         thread, host, port = loopback(server_config=_durable_config(tmp_path))
         traces = event_traces(3, samples=150)
         live: dict[str, list[PeriodStartEvent]] = {sid: [] for sid in traces}
-        with DetectionClient(host, port, namespace="ns") as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="ns") as client:
             for sid, trace in traces.items():
                 live[sid].extend(client.ingest(sid, trace))
         thread.checkpoint()
@@ -216,7 +216,7 @@ class TestWarmRestart:
 
         thread2, host, port = loopback(server_config=_durable_config(tmp_path))
         assert thread2.server.restore_stats["streams"] == 3
-        with DetectionClient(host, port, namespace="ns") as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="ns") as client:
             for sid, events in live.items():
                 replayed, gap = client.replay(sid, 0)
                 assert gap is None
@@ -229,27 +229,27 @@ class TestWarmRestart:
 
     def test_graceful_stop_takes_final_checkpoint(self, tmp_path, loopback):
         thread, host, port = loopback(server_config=_durable_config(tmp_path))
-        with DetectionClient(host, port, namespace="ns") as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="ns") as client:
             events = client.ingest("app", [7, 8, 9] * 40)
         assert events
         thread.stop()  # no explicit checkpoint: the drain must persist
 
         thread2, host, port = loopback(server_config=_durable_config(tmp_path))
-        with DetectionClient(host, port, namespace="ns") as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="ns") as client:
             replayed, gap = client.replay("app", 0)
         assert gap is None
         assert [e.seq for e in replayed] == [e.seq for e in events]
 
     def test_resync_after_restart_reports_no_gap(self, tmp_path, loopback):
         thread, host, port = loopback(server_config=_durable_config(tmp_path))
-        with DetectionClient(host, port, namespace="ns") as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="ns") as client:
             live = client.ingest("app", [7, 8, 9] * 40)
         thread.stop()
 
         thread2, host, port = loopback(server_config=_durable_config(tmp_path))
         gaps: list = []
         with DetectionClient(
-            host, port, namespace="ns", on_gap=lambda *a: gaps.append(a)
+            f"repro://{host}:{port}", namespace="ns", on_gap=lambda *a: gaps.append(a)
         ) as client:
             client.subscribe()
             recovered = client.resync(["app"])
@@ -265,7 +265,7 @@ class TestWarmRestart:
             host, port = thread.start()
             traces = event_traces(6, samples=120)
             live: dict[str, list[PeriodStartEvent]] = {sid: [] for sid in traces}
-            with DetectionClient(host, port, namespace="ns") as client:
+            with DetectionClient(f"repro://{host}:{port}", namespace="ns") as client:
                 for sid, trace in traces.items():
                     live[sid].extend(client.ingest(sid, trace))
             thread.stop()
@@ -276,7 +276,7 @@ class TestWarmRestart:
             threads.append(thread2)
             host, port = thread2.start()
             assert thread2.server.restore_stats["streams"] == 6
-            with DetectionClient(host, port, namespace="ns") as client:
+            with DetectionClient(f"repro://{host}:{port}", namespace="ns") as client:
                 for sid, events in live.items():
                     replayed, gap = client.replay(sid, 0)
                     assert gap is None
@@ -287,7 +287,7 @@ class TestWarmRestart:
 
     def test_incremental_pass_skips_clean_streams(self, tmp_path, loopback):
         thread, host, port = loopback(server_config=_durable_config(tmp_path))
-        with DetectionClient(host, port, namespace="ns") as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="ns") as client:
             client.ingest("a", [7, 8, 9] * 20)
             client.ingest("b", [7, 8, 9] * 20)
             first = thread.checkpoint()
@@ -304,7 +304,7 @@ class TestWarmRestart:
                 tmp_path, checkpoint_interval=3600.0, checkpoint_max_dirty=1
             )
         )
-        with DetectionClient(host, port, namespace="ns") as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="ns") as client:
             client.ingest("app", [7, 8, 9] * 20)
             deadline = time.monotonic() + 10.0
             while time.monotonic() < deadline:
@@ -317,16 +317,16 @@ class TestWarmRestart:
 
     def test_fresh_handshake_removal_is_durable(self, tmp_path, loopback):
         thread, host, port = loopback(server_config=_durable_config(tmp_path))
-        with DetectionClient(host, port, namespace="ns") as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="ns") as client:
             client.ingest("app", [7, 8, 9] * 40)
         thread.checkpoint()
-        with DetectionClient(host, port, namespace="ns", fresh=True) as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="ns", fresh=True) as client:
             pass  # fresh handshake wipes the namespace's streams + journal
         thread.stop()
 
         thread2, host, port = loopback(server_config=_durable_config(tmp_path))
         assert thread2.server.restore_stats["streams"] == 0
-        with DetectionClient(host, port, namespace="ns") as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="ns") as client:
             events = client.ingest("app", [7, 8, 9] * 40)
         assert events[0].seq == 0  # numbering restarted, no stale journal
 
@@ -350,7 +350,7 @@ class TestWarmRestart:
 
     def test_corrupt_segment_skipped_at_startup(self, tmp_path, loopback):
         thread, host, port = loopback(server_config=_durable_config(tmp_path))
-        with DetectionClient(host, port, namespace="ns") as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="ns") as client:
             client.ingest("app", [7, 8, 9] * 40)
         thread.stop()
 
@@ -370,7 +370,7 @@ class TestWarmRestart:
 
     def test_stats_expose_checkpoint_counters(self, tmp_path, loopback):
         thread, host, port = loopback(server_config=_durable_config(tmp_path))
-        with DetectionClient(host, port, namespace="ns") as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="ns") as client:
             client.ingest("app", [7, 8, 9] * 20)
             thread.checkpoint()
             stats = client.stats()["server"]

@@ -27,7 +27,7 @@ class TestLRUEviction:
         _, host, port = loopback(config)
         traces = event_traces(4, samples=120)
         remote = []
-        with DetectionClient(host, port, namespace="n") as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="n") as client:
             for sid, values in traces.items():
                 remote.extend(client.ingest(sid, values))
             remote_stats = client.stats()
@@ -43,7 +43,7 @@ class TestLRUEviction:
     def test_evicted_stream_restarts_from_scratch(self, loopback):
         _, host, port = loopback(event_config(max_streams=1))
         trace = np.tile(np.arange(4), 30)
-        with DetectionClient(host, port, namespace="n") as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="n") as client:
             first = client.ingest("a", trace)
             client.ingest("b", trace)  # evicts "a"
             again = client.ingest("a", trace)  # recreated, indices reset
@@ -52,7 +52,7 @@ class TestLRUEviction:
     def test_snapshot_skips_evicted_streams(self, loopback):
         _, host, port = loopback(event_config(max_streams=1))
         trace = np.tile(np.arange(4), 30)
-        with DetectionClient(host, port, namespace="n") as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="n") as client:
             client.ingest("a", trace)
             client.ingest("b", trace)  # evicts "a"
             snap = client.snapshot(["a", "b"])
@@ -66,13 +66,13 @@ class TestReconnect:
         head = {sid: v[:90] for sid, v in traces.items()}
         tail = {sid: v[90:] for sid, v in traces.items()}
 
-        with DetectionClient(host, port, namespace="agent") as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="agent") as client:
             head_events = client.ingest_many(head)
             snap = client.snapshot()
             assert set(snap) == set(traces)
 
         # Reconnect into a clean namespace, carry the state over, resume.
-        with DetectionClient(host, port, namespace="agent", fresh=True) as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="agent", fresh=True) as client:
             assert client.server_info["removed_streams"] == len(traces)
             assert client.restore(snap) == len(traces)
             tail_events = client.ingest_many(tail)
@@ -89,10 +89,10 @@ class TestReconnect:
     def test_restored_counters_survive_the_roundtrip(self, loopback):
         _, host, port = loopback(event_config())
         trace = np.tile(np.arange(5), 40)
-        with DetectionClient(host, port, namespace="agent") as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="agent") as client:
             client.ingest("app", trace)
             before = client.snapshot()["app"]
-        with DetectionClient(host, port, namespace="agent", fresh=True) as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="agent", fresh=True) as client:
             client.restore({"app": before})
             after = client.snapshot()["app"]
         assert after["samples"] == before["samples"] == trace.size
@@ -101,10 +101,10 @@ class TestReconnect:
     def test_fresh_reconnect_without_restore_has_no_stale_state(self, loopback):
         _, host, port = loopback(event_config())
         trace = np.tile(np.arange(4), 30)
-        with DetectionClient(host, port, namespace="agent") as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="agent") as client:
             first = client.ingest("app", trace)
             assert client.stats(periods=True)["periods"] == {"app": 4}
-        with DetectionClient(host, port, namespace="agent", fresh=True) as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="agent", fresh=True) as client:
             # No streams left behind ...
             assert client.stats(periods=True)["periods"] == {}
             assert client.snapshot() == {}
@@ -115,11 +115,11 @@ class TestReconnect:
     def test_reconnect_without_fresh_continues_in_place(self, loopback):
         _, host, port = loopback(event_config())
         trace = np.tile(np.arange(6), 30)
-        with DetectionClient(host, port, namespace="agent") as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="agent") as client:
             client.ingest("app", trace[:90])
         # Same namespace, no fresh flag: the server-side stream is still
         # live, so ingestion continues where the last connection stopped.
-        with DetectionClient(host, port, namespace="agent") as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="agent") as client:
             tail = client.ingest("app", trace[90:])
         pool = DetectorPool(event_config())
         pool.ingest("app", trace[:90])
@@ -130,6 +130,6 @@ class TestReconnect:
         from repro.server.client import ServerError
 
         _, host, port = loopback(event_config())
-        with DetectionClient(host, port, namespace="x") as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="x") as client:
             with pytest.raises(ServerError):
                 client.restore({"app": {"state": {"kind": "nonsense"}}})

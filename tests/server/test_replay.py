@@ -139,12 +139,12 @@ class TestEventJournal:
 class TestReplayRequests:
     def test_replay_returns_journaled_events(self, loopback):
         _, host, port = loopback()
-        with DetectionClient(host, port, namespace="prod") as producer:
+        with DetectionClient(f"repro://{host}:{port}", namespace="prod") as producer:
             produced = []
             for sid, trace in event_traces(3).items():
                 produced.extend(producer.ingest(sid, trace))
             assert produced
-            with DetectionClient(host, port, namespace="prod") as other:
+            with DetectionClient(f"repro://{host}:{port}", namespace="prod") as other:
                 for sid, events in by_stream(produced).items():
                     replayed, gap = other.replay(sid, 0)
                     assert gap is None
@@ -155,7 +155,7 @@ class TestReplayRequests:
 
     def test_replay_of_evicted_range_reports_gap_not_silence(self, loopback):
         _, host, port = loopback(server_config=ServerConfig(journal_size=8))
-        with DetectionClient(host, port, namespace="prod") as producer:
+        with DetectionClient(f"repro://{host}:{port}", namespace="prod") as producer:
             sid, trace = next(iter(event_traces(1, samples=240).items()))
             produced = producer.ingest(sid, trace)
             assert len(produced) > 8
@@ -165,10 +165,10 @@ class TestReplayRequests:
 
     def test_replay_scope_all_uses_full_ids(self, loopback):
         _, host, port = loopback()
-        with DetectionClient(host, port, namespace="prod") as producer:
+        with DetectionClient(f"repro://{host}:{port}", namespace="prod") as producer:
             sid, trace = next(iter(event_traces(1).items()))
             produced = producer.ingest(sid, trace)
-            with DetectionClient(host, port, namespace="watcher") as watcher:
+            with DetectionClient(f"repro://{host}:{port}", namespace="watcher") as watcher:
                 replayed, gap = watcher.replay(f"prod/{sid}", 0, scope="all")
                 assert gap is None
                 assert seq_view(replayed) == {f"prod/{sid}": [e.seq for e in produced]}
@@ -178,23 +178,23 @@ class TestReplayRequests:
         # ERROR and closes, like every other malformed request — hence
         # one client per attempt.
         _, host, port = loopback()
-        with DetectionClient(host, port) as client:
+        with DetectionClient(f"repro://{host}:{port}") as client:
             with pytest.raises(ServerError, match="replay range"):
                 client.replay("app", -1)
-        with DetectionClient(host, port) as client:
+        with DetectionClient(f"repro://{host}:{port}") as client:
             with pytest.raises(ServerError, match="replay range"):
                 client.replay("app", 5, upto=2)
 
     def test_replay_unknown_namespace_is_explicit(self, loopback):
         _, host, port = loopback()
-        with DetectionClient(host, port, namespace="fresh-ns") as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="fresh-ns") as client:
             events, gap = client.replay("never-seen", 0, upto=4)
             assert events == []
             assert gap == 4
 
     def test_stats_expose_journal_and_replays(self, loopback):
         _, host, port = loopback()
-        with DetectionClient(host, port, namespace="prod") as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="prod") as client:
             sid, trace = next(iter(event_traces(1).items()))
             produced = client.ingest(sid, trace)
             client.replay(sid, 0)
@@ -206,10 +206,10 @@ class TestReplayRequests:
 
     def test_fresh_handshake_resets_the_journal(self, loopback):
         _, host, port = loopback()
-        with DetectionClient(host, port, namespace="prod") as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="prod") as client:
             sid, trace = next(iter(event_traces(1).items()))
             assert client.ingest(sid, trace)
-        with DetectionClient(host, port, namespace="prod", fresh=True) as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="prod", fresh=True) as client:
             # The namespace restarted at seq 0; stale journal entries
             # must not be replayable.
             events, gap = client.replay(sid, 0)
@@ -233,13 +233,13 @@ def drain(client: DetectionClient, *, timeout: float) -> list[PeriodStartEvent]:
 class TestSubscriberResume:
     def test_reconnecting_subscriber_recovers_missed_events(self, loopback):
         _, host, port = loopback()
-        with DetectionClient(host, port, namespace="prod") as producer:
+        with DetectionClient(f"repro://{host}:{port}", namespace="prod") as producer:
             traces = event_traces(2, samples=360)
             phases = [
                 {sid: trace[lo:hi] for sid, trace in traces.items()}
                 for lo, hi in ((0, 120), (120, 240), (240, 360))
             ]
-            subscriber = DetectionClient(host, port, namespace="prod")
+            subscriber = DetectionClient(f"repro://{host}:{port}", namespace="prod")
             subscriber.subscribe()
             produced = producer.ingest_many(phases[0])
             seen = drain(subscriber, timeout=1.0)
@@ -251,8 +251,7 @@ class TestSubscriberResume:
 
             gaps: list[tuple] = []
             resumed = DetectionClient(
-                host,
-                port,
+                f"repro://{host}:{port}",
                 namespace="prod",
                 resume_seqs=carried,
                 on_gap=lambda *args: gaps.append(args),
@@ -269,9 +268,9 @@ class TestSubscriberResume:
 
     def test_on_gap_fires_exactly_once_per_evicted_range(self, loopback):
         _, host, port = loopback(server_config=ServerConfig(journal_size=8))
-        with DetectionClient(host, port, namespace="prod") as producer:
+        with DetectionClient(f"repro://{host}:{port}", namespace="prod") as producer:
             sid, trace = next(iter(event_traces(1, samples=480).items()))
-            subscriber = DetectionClient(host, port, namespace="prod")
+            subscriber = DetectionClient(f"repro://{host}:{port}", namespace="prod")
             subscriber.subscribe()
             produced = producer.ingest(sid, trace[:80])
             seen = drain(subscriber, timeout=1.0)
@@ -284,8 +283,7 @@ class TestSubscriberResume:
 
             gaps: list[tuple] = []
             resumed = DetectionClient(
-                host,
-                port,
+                f"repro://{host}:{port}",
                 namespace="prod",
                 resume_seqs=carried,
                 on_gap=lambda *args: gaps.append(args),
@@ -324,15 +322,14 @@ class TestSubscriberResume:
         # drain-then-resync shutdown pattern) must not re-fire on_gap
         # for the same range, and must fetch nothing new.
         _, host, port = loopback(server_config=ServerConfig(journal_size=8))
-        with DetectionClient(host, port, namespace="prod") as producer:
+        with DetectionClient(f"repro://{host}:{port}", namespace="prod") as producer:
             sid, trace = next(iter(event_traces(1, samples=300).items()))
             produced = producer.ingest(sid, trace)
             assert len(produced) > 8
 
             gaps: list[tuple] = []
             with DetectionClient(
-                host,
-                port,
+                f"repro://{host}:{port}",
                 namespace="prod",
                 resume_seqs={sid: -1},
                 on_gap=lambda *args: gaps.append(args),
@@ -350,14 +347,14 @@ class TestSubscriberResume:
 
         async def run():
             producer = await AsyncDetectionClient.connect(
-                host, port, namespace="prod"
+                f"repro://{host}:{port}", namespace="prod"
             )
             traces = event_traces(2, samples=360)
             produced = await producer.ingest_many(
                 {sid: t[:180] for sid, t in traces.items()}
             )
             subscriber = await AsyncDetectionClient.connect(
-                host, port, namespace="prod", resume_seqs={sid: -1 for sid in traces}
+                f"repro://{host}:{port}", namespace="prod", resume_seqs={sid: -1 for sid in traces}
             )
             await subscriber.subscribe()
             # The subscriber joined after the first phase: its seed of -1
@@ -419,15 +416,15 @@ def test_throttled_subscriber_recovers_exact_sequence(workers, monkeypatch):
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 8192)
     try:
         gaps: list[tuple] = []
-        producer = DetectionClient(host, port, namespace="prod")
-        unthrottled = DetectionClient(host, port, namespace="prod")
+        producer = DetectionClient(f"repro://{host}:{port}", namespace="prod")
+        unthrottled = DetectionClient(f"repro://{host}:{port}", namespace="prod")
         unthrottled.subscribe()
         with monkeypatch.context() as patched:
             patched.setattr(
                 "socket.create_connection", _tiny_rcvbuf_create_connection
             )
             throttled = DetectionClient(
-                host, port, namespace="prod", on_gap=lambda *args: gaps.append(args)
+                f"repro://{host}:{port}", namespace="prod", on_gap=lambda *args: gaps.append(args)
             )
         throttled.subscribe()
 
@@ -521,8 +518,7 @@ class TestReconnectBackoff:
         retry_delay = 0.2
         with pytest.raises(ConnectionRefusedError):
             DetectionClient(
-                "127.0.0.1",
-                self._closed_port(),
+                f"repro://127.0.0.1:{self._closed_port()}",
                 connect_retries=4,
                 retry_delay=retry_delay,
             )
@@ -541,8 +537,7 @@ class TestReconnectBackoff:
 
         async def attempt() -> None:
             await AsyncDetectionClient.connect(
-                "127.0.0.1",
-                self._closed_port(),
+                f"repro://127.0.0.1:{self._closed_port()}",
                 connect_retries=3,
                 retry_delay=0.1,
             )
@@ -560,8 +555,8 @@ class TestReconnectBackoff:
         # on_gap behaviour on the connection that finally succeeds.
         _, host, port = loopback()
         traces = event_traces(2, samples=240)
-        with DetectionClient(host, port, namespace="prod") as producer:
-            subscriber = DetectionClient(host, port, namespace="prod")
+        with DetectionClient(f"repro://{host}:{port}", namespace="prod") as producer:
+            subscriber = DetectionClient(f"repro://{host}:{port}", namespace="prod")
             subscriber.subscribe()
             produced = producer.ingest_many(
                 {sid: tr[:120] for sid, tr in traces.items()}
@@ -575,8 +570,7 @@ class TestReconnectBackoff:
             )  # missed while away
             gaps: list[tuple] = []
             resumed = DetectionClient(
-                host,
-                port,
+                f"repro://{host}:{port}",
                 namespace="prod",
                 connect_retries=3,
                 retry_delay=0.05,

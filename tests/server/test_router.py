@@ -94,10 +94,10 @@ def cluster(loopback):
 def run_workload(host, port, chunks, *, namespace="prod", subscribe=True):
     """Produce ``chunks`` and return (reply events, subscriber events)."""
     produced, seen = [], []
-    with DetectionClient(host, port, namespace=namespace) as producer:
+    with DetectionClient(f"repro://{host}:{port}", namespace=namespace) as producer:
         subscriber = None
         if subscribe:
-            subscriber = DetectionClient(host, port, namespace=namespace)
+            subscriber = DetectionClient(f"repro://{host}:{port}", namespace=namespace)
             subscriber.subscribe()
         try:
             for chunk in chunks:
@@ -127,7 +127,7 @@ class TestEquivalence:
     def test_replay_through_router_matches_ingest_replies(self, cluster):
         traces = event_traces(6, samples=160)
         _, host, port = cluster(2)
-        with DetectionClient(host, port, namespace="prod") as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="prod") as client:
             produced = client.ingest_many(traces)
             for sid in traces:
                 events, gap = client.replay(sid, 0)
@@ -137,10 +137,10 @@ class TestEquivalence:
     def test_v2_client_works_through_the_router(self, cluster):
         traces = event_traces(5, samples=160)
         _, host, port = cluster(2)
-        with DetectionClient(host, port, namespace="old", max_protocol=2) as v2:
+        with DetectionClient(f"repro://{host}:{port}", namespace="old", max_protocol=2) as v2:
             assert v2.protocol_version == 2
             produced = v2.ingest_many(traces)
-        with DetectionClient(host, port, namespace="new") as v3:
+        with DetectionClient(f"repro://{host}:{port}", namespace="new") as v3:
             reference = v3.ingest_many(traces)
         assert keyed(produced) == keyed(reference)
 
@@ -152,7 +152,7 @@ class TestEquivalence:
             for i in range(8)
         }
         _, host, port = cluster(2, PoolConfig(mode="magnitude", window_size=64))
-        with DetectionClient(host, port, namespace="prod") as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="prod") as client:
             for lo in range(0, 192, 64):
                 client.ingest_lockstep({s: tr[lo : lo + 64] for s, tr in traces.items()})
             stats = client.stats()
@@ -175,8 +175,8 @@ class TestMembership:
         thread, host, port = cluster(1)
         _, bhost, bport = loopback()
         produced, seen = [], []
-        with DetectionClient(host, port, namespace="prod") as producer:
-            subscriber = DetectionClient(host, port, namespace="prod")
+        with DetectionClient(f"repro://{host}:{port}", namespace="prod") as producer:
+            subscriber = DetectionClient(f"repro://{host}:{port}", namespace="prod")
             subscriber.subscribe()
             try:
                 produced.extend(producer.ingest_many(chunks[0]))
@@ -208,7 +208,7 @@ class TestMembership:
         chunks = phases(traces, (120,))
         thread, host, port = cluster(1)
         _, bhost, bport = loopback()
-        with DetectionClient(host, port, namespace="prod") as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="prod") as client:
             produced = client.ingest_many(chunks[0])
             assert thread.add_backend(f"{bhost}:{bport}") > 0
             produced += client.ingest_many(chunks[1])
@@ -224,7 +224,7 @@ class TestMembership:
         traces = event_traces(8, samples=240)
         chunks = phases(traces, (120,))
         thread, host, port = cluster(2)
-        with DetectionClient(host, port, namespace="prod") as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="prod") as client:
             produced = client.ingest_many(chunks[0])
             leaving = thread.router.backends[0]
             thread.remove_backend(leaving)
@@ -246,7 +246,7 @@ class TestStatsAndRemove:
     def test_stats_sum_pools_and_report_ring(self, cluster):
         traces = event_traces(9, samples=160)
         _, host, port = cluster(3)
-        with DetectionClient(host, port, namespace="prod") as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="prod") as client:
             client.ingest_many(traces)
             stats = client.stats(periods=True)
             assert stats["pool"]["streams"] == len(traces)
@@ -266,7 +266,7 @@ class TestStatsAndRemove:
         try:
             host, port = thread.start()
             traces = event_traces(8, samples=96)
-            with DetectionClient(host, port, namespace="prod") as client:
+            with DetectionClient(f"repro://{host}:{port}", namespace="prod") as client:
                 client.ingest_many(traces)
                 merged = client.stats()["pool"]
                 assert merged["mode"] == "mixed"
@@ -276,7 +276,7 @@ class TestStatsAndRemove:
     def test_remove_drops_streams_but_keeps_the_journal(self, cluster):
         traces = event_traces(6, samples=160)
         _, host, port = cluster(2)
-        with DetectionClient(host, port, namespace="prod") as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="prod") as client:
             produced = client.ingest_many(traces)
             victims = sorted(traces)[:3]
             assert client.remove_streams(victims) == len(victims)
@@ -389,9 +389,9 @@ def test_backend_sigkill_and_respawn_resumes_exact_seqs(tmp_path, loopback):
     gaps: list = []
     try:
         host, port = thread.start()
-        with DetectionClient(host, port, namespace="prod") as producer:
+        with DetectionClient(f"repro://{host}:{port}", namespace="prod") as producer:
             subscriber = DetectionClient(
-                host, port, namespace="prod", on_gap=lambda *a: gaps.append(a)
+                f"repro://{host}:{port}", namespace="prod", on_gap=lambda *a: gaps.append(a)
             )
             subscriber.subscribe()
             try:

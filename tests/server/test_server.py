@@ -45,7 +45,7 @@ class TestEquivalence:
     def test_chunked_ingest_matches_direct_pool(self, loopback):
         _, host, port = loopback(event_config())
         traces = event_traces(8, samples=160)
-        with DetectionClient(host, port, namespace="n") as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="n") as client:
             remote = []
             for offset in range(0, 160, 40):
                 remote.extend(client.ingest_many(
@@ -62,7 +62,7 @@ class TestEquivalence:
     def test_lockstep_matches_direct_pool(self, loopback):
         _, host, port = loopback(event_config())
         traces = event_traces(6, samples=128)
-        with DetectionClient(host, port, namespace="n") as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="n") as client:
             remote = client.ingest_lockstep(traces)
         direct = DetectorPool(event_config()).ingest_lockstep(
             {f"n/{sid}": v for sid, v in traces.items()}
@@ -78,7 +78,7 @@ class TestEquivalence:
         )
         _, host, port = loopback(config)
         traces = magnitude_traces(5, samples=192)
-        with DetectionClient(host, port, namespace="m") as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="m") as client:
             remote = client.ingest_many(traces)
         direct = DetectorPool(config).ingest_many(
             {f"m/{sid}": v for sid, v in traces.items()}
@@ -90,7 +90,7 @@ class TestEquivalence:
         pool = build_pool(event_config(), workers=2)
         assert isinstance(pool, ShardedDetectorPool)
         with ServerThread(pool) as (host, port):
-            with DetectionClient(host, port, namespace="s") as client:
+            with DetectionClient(f"repro://{host}:{port}", namespace="s") as client:
                 remote = client.ingest_many(traces)
         direct = DetectorPool(event_config()).ingest_many(
             {f"s/{sid}": v for sid, v in traces.items()}
@@ -107,7 +107,7 @@ class TestEquivalence:
         assert pool.sharding.pipeline_depth == 4
         seen = []
         with ServerThread(pool) as (host, port):
-            with DetectionClient(host, port, namespace="p") as client:
+            with DetectionClient(f"repro://{host}:{port}", namespace="p") as client:
                 client.subscribe("own")
                 chunks = (
                     {sid: v[offset : offset + 40] for sid, v in traces.items()}
@@ -136,8 +136,8 @@ class TestNamespacing:
         _, host, port = loopback(event_config())
         trace_a = np.tile(np.arange(3), 40)  # period 3
         trace_b = np.tile(np.arange(5), 24)  # period 5
-        with DetectionClient(host, port, namespace="a") as ca, \
-                DetectionClient(host, port, namespace="b") as cb:
+        with DetectionClient(f"repro://{host}:{port}", namespace="a") as ca, \
+                DetectionClient(f"repro://{host}:{port}", namespace="b") as cb:
             ca.ingest("app", trace_a)
             cb.ingest("app", trace_b)
             assert ca.stats(periods=True)["periods"] == {"app": 3}
@@ -145,21 +145,21 @@ class TestNamespacing:
 
     def test_server_assigns_unique_namespaces(self, loopback):
         _, host, port = loopback(event_config())
-        with DetectionClient(host, port) as c1, DetectionClient(host, port) as c2:
+        with DetectionClient(f"repro://{host}:{port}") as c1, DetectionClient(f"repro://{host}:{port}") as c2:
             assert c1.namespace != c2.namespace
 
     def test_bad_namespace_rejected(self, loopback):
         _, host, port = loopback(event_config())
         with pytest.raises((ServerError, ConnectionError)):
-            DetectionClient(host, port, namespace="a/b")
+            DetectionClient(f"repro://{host}:{port}", namespace="a/b")
 
 
 class TestSubscriptions:
     def test_own_scope_strips_namespace_and_filters(self, loopback):
         _, host, port = loopback(event_config())
         trace = np.tile(np.arange(4), 30)
-        with DetectionClient(host, port, namespace="w") as watcher, \
-                DetectionClient(host, port, namespace="o") as other:
+        with DetectionClient(f"repro://{host}:{port}", namespace="w") as watcher, \
+                DetectionClient(f"repro://{host}:{port}", namespace="o") as other:
             watcher.subscribe("own")
             other.ingest("noise", trace)  # not watcher's namespace
             events = watcher.ingest("app", trace)
@@ -173,8 +173,8 @@ class TestSubscriptions:
     def test_all_scope_sees_other_namespaces(self, loopback):
         _, host, port = loopback(event_config())
         trace = np.tile(np.arange(4), 30)
-        with DetectionClient(host, port, namespace="w") as watcher, \
-                DetectionClient(host, port, namespace="o") as other:
+        with DetectionClient(f"repro://{host}:{port}", namespace="w") as watcher, \
+                DetectionClient(f"repro://{host}:{port}", namespace="o") as other:
             watcher.subscribe("all")
             other.ingest("app", trace)
             pushed = watcher.next_events(timeout=5)
@@ -183,7 +183,7 @@ class TestSubscriptions:
 
     def test_bad_scope_rejected(self, loopback):
         _, host, port = loopback(event_config())
-        with DetectionClient(host, port) as client:
+        with DetectionClient(f"repro://{host}:{port}") as client:
             with pytest.raises(ServerError):
                 client.subscribe("everything")
 
@@ -194,7 +194,7 @@ class TestBackpressure:
             event_config(), ServerConfig(max_inflight=1)
         )
         trace = np.tile(np.arange(4), 50)
-        with DetectionClient(host, port, namespace="p") as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="p") as client:
             chunks = [{"x": trace[i * 20 : (i + 1) * 20]} for i in range(10)]
             client.pipeline(chunks, window=6, on_busy="count")
             assert client.busy_replies > 0
@@ -205,7 +205,7 @@ class TestBackpressure:
             event_config(), ServerConfig(max_inflight=1)
         )
         trace = np.tile(np.arange(4), 50)
-        with DetectionClient(host, port, namespace="p") as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="p") as client:
             chunks = [{"x": trace[i * 20 : (i + 1) * 20]} for i in range(10)]
             with pytest.raises(ServerBusy):
                 client.pipeline(chunks, window=8)
@@ -219,7 +219,7 @@ class TestBackpressure:
     def test_within_bound_pipelining_loses_nothing(self, loopback):
         _, host, port = loopback(event_config())
         traces = event_traces(4, samples=160)
-        with DetectionClient(host, port, namespace="n") as client:
+        with DetectionClient(f"repro://{host}:{port}", namespace="n") as client:
             chunks = [
                 {sid: values[offset : offset + 20] for sid, values in traces.items()}
                 for offset in range(0, 160, 20)
@@ -267,7 +267,7 @@ class TestShutdown:
     def test_graceful_stop_drains_and_says_bye(self):
         thread = ServerThread(DetectorPool(event_config()))
         host, port = thread.start()
-        client = DetectionClient(host, port, namespace="d")
+        client = DetectionClient(f"repro://{host}:{port}", namespace="d")
         client.ingest("app", np.tile(np.arange(4), 30))
         thread.stop()
         # The connected client observes the drain, not a hard cut.
@@ -289,7 +289,7 @@ class TestShutdown:
         host, port = thread.start()
         thread.stop()
         with pytest.raises(ConnectionError):
-            DetectionClient(host, port)
+            DetectionClient(f"repro://{host}:{port}")
 
 
 class TestAsyncClient:
@@ -298,7 +298,7 @@ class TestAsyncClient:
         traces = event_traces(4, samples=120)
 
         async def run():
-            client = await AsyncDetectionClient.connect(host, port, namespace="a")
+            client = await AsyncDetectionClient.connect(f"repro://{host}:{port}", namespace="a")
             await client.subscribe("own")
             events = await client.ingest_many(traces)
             pushed = await asyncio.wait_for(client.events.get(), 10)
@@ -321,12 +321,12 @@ class TestAsyncClient:
         trace = np.tile(np.arange(6), 30)
 
         async def run():
-            client = await AsyncDetectionClient.connect(host, port, namespace="s")
+            client = await AsyncDetectionClient.connect(f"repro://{host}:{port}", namespace="s")
             await client.ingest("app", trace[:90])
             snap = await client.snapshot()
             await client.close()
             client = await AsyncDetectionClient.connect(
-                host, port, namespace="s", fresh=True
+                f"repro://{host}:{port}", namespace="s", fresh=True
             )
             restored = await client.restore(snap)
             tail = await client.ingest("app", trace[90:])
@@ -342,16 +342,65 @@ class TestAsyncClient:
 
 
 class TestHandshakeFailures:
-    def test_failed_handshake_closes_the_socket(self, daemon):
-        import gc
-        import warnings
+    def test_failed_handshake_closes_the_socket(self, daemon, monkeypatch):
+        opened = []
+        open_socket = DetectionClient._open_socket
 
+        def recording(endpoint):
+            opened.append(open_socket(endpoint))
+            return opened[-1]
+
+        monkeypatch.setattr(DetectionClient, "_open_socket", staticmethod(recording))
         host, port = daemon(event_config())
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ResourceWarning)
+        with pytest.raises((ServerError, ConnectionError)):
+            DetectionClient(f"repro://{host}:{port}", namespace="bad/name")
+        assert len(opened) == 1 and opened[0].fileno() == -1
+
+    def test_failed_async_handshake_closes_the_connection(self, daemon, monkeypatch):
+        writers = []
+        open_connection = asyncio.open_connection
+
+        async def recording(*args, **kwargs):
+            reader, writer = await open_connection(*args, **kwargs)
+            writers.append(writer)
+            return reader, writer
+
+        monkeypatch.setattr(asyncio, "open_connection", recording)
+        host, port = daemon(event_config())
+
+        async def run():
             with pytest.raises((ServerError, ConnectionError)):
-                DetectionClient(host, port, namespace="bad/name")
-            gc.collect()  # an unclosed socket would raise ResourceWarning here
+                await AsyncDetectionClient.connect(
+                    f"repro://{host}:{port}", namespace="bad/name"
+                )
+            # The writer is closed and the reader task has finished.
+            assert len(writers) == 1 and writers[0].is_closing()
+            assert asyncio.all_tasks() == {asyncio.current_task()}
+
+        asyncio.run(run())
+
+    def test_connect_times_out_on_a_silent_listener(self):
+        """Both clients bound connect + HELLO by the endpoint's timeout."""
+        import socket
+        import time
+
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            url = f"repro://127.0.0.1:{listener.getsockname()[1]}?timeout=0.5"
+            started = time.monotonic()
+            with pytest.raises(TimeoutError):
+                DetectionClient(url)
+            assert time.monotonic() - started < 3.0
+
+            async def run():
+                task = asyncio.ensure_future(AsyncDetectionClient.connect(url))
+                done, _ = await asyncio.wait({task}, timeout=5.0)
+                if not done:
+                    task.cancel()
+                    await asyncio.gather(task, return_exceptions=True)
+                    pytest.fail("the async connect outlived its endpoint timeout")
+                return task.exception()
+
+            assert isinstance(asyncio.run(run()), TimeoutError)
 
     @staticmethod
     def _answer(host, port, payload: bytes):
