@@ -110,9 +110,10 @@ def backoff_delay(
 
 
 def _events_from_frame(frame: Frame) -> list[PeriodStartEvent]:
+    ids = frame.meta.get("streams", [])
     if not frame.arrays:
         return []
-    return protocol.events_from_array(frame.arrays[0], frame.meta.get("streams", []))
+    return protocol.events_from_array(frame.arrays[0], ids)
 
 
 def _hot_matrix(arrays: Sequence[np.ndarray]) -> np.ndarray | None:
@@ -623,16 +624,20 @@ class DetectionClient(_Transport):
                 if on_busy == "raise" and busy is None:
                     busy = exc
 
-        for n, batches in enumerate(requests):
+        for batches in requests:
             if busy is not None:
                 break  # stop feeding a server that already said BUSY
-            # Only the first request may REGISTER new ids (a round trip of
-            # its own, so it completes before the next is sent: the reply
-            # FIFO must stay paired); later new ids take the JSON frame.
-            op = self._session.ingest_many(batches, register=not n)
+            if not in_flight and self._session.version >= 3:
+                # REGISTER is its own request/reply; only safe with
+                # nothing in flight (the reply FIFO must stay paired).
+                # In the steady state every id is already interned and
+                # this round trip never happens; mid-flight, new ids
+                # take the JSON frame.
+                self._run(self._session.register(list(batches)))
+            op = self._session.ingest_many(batches, register=False)
             self._send(next(op))
             in_flight.append(op)
-            while len(in_flight) >= (window if n else 1):
+            while len(in_flight) >= window:
                 collect_one()
         while in_flight:
             collect_one()
@@ -837,12 +842,17 @@ class AsyncDetectionClient(_Transport):
         resolved = resolve_endpoint(
             endpoint, token=token, tls_ca=tls_ca, tls_insecure=tls_insecure
         )
-        reader = writer = None
+        # Built first: its session refuses a bad max_protocol before any
+        # connection is opened.
+        client = cls(
+            None, None, namespace, fresh, on_gap, auto_replay, resume_seqs, max_protocol
+        )
+        client.endpoint = resolved
         last_error: Exception | None = None
         for attempt in range(connect_retries + 1):
             try:
                 ssl_context = resolved.client_ssl_context()  # fresh per try
-                reader, writer = await _within(
+                client._reader, client._writer = await _within(
                     resolved.timeout,
                     asyncio.open_connection(
                         resolved.host,
@@ -856,11 +866,8 @@ class AsyncDetectionClient(_Transport):
                 last_error = exc
                 if attempt < connect_retries:
                     await asyncio.sleep(backoff_delay(attempt, retry_delay))
-        if reader is None:
+        if client._reader is None:
             raise last_error  # type: ignore[misc]
-        options = (on_gap, auto_replay, resume_seqs, max_protocol)
-        client = cls(reader, writer, namespace, fresh, *options)
-        client.endpoint = resolved
         client._reader_task = asyncio.ensure_future(client._read_loop())
         try:
             client.server_info = await _within(
@@ -891,7 +898,9 @@ class AsyncDetectionClient(_Transport):
                     if not future.done():
                         future.set_result(frame)
         except (
-            asyncio.IncompleteReadError, ConnectionError, asyncio.CancelledError
+            asyncio.IncompleteReadError,
+            ConnectionError,
+            asyncio.CancelledError,
         ) as exc:
             self._fail_pending(ConnectionClosedError(f"connection lost: {exc!r}"))
         except ProtocolError as exc:
@@ -991,10 +1000,7 @@ class AsyncDetectionClient(_Transport):
         Reading :attr:`events` directly bypasses gap recovery.
         """
         try:
-            if timeout is not None:
-                batch = await asyncio.wait_for(self.events.get(), timeout)
-            else:
-                batch = await self.events.get()
+            batch = await asyncio.wait_for(self.events.get(), timeout)
         except asyncio.TimeoutError:
             return None
         return await self._drive(self._session.splice(batch), self._replay_gap)

@@ -209,8 +209,13 @@ def resolve_endpoint(
         raise TypeError(
             f"endpoint must be an Endpoint or a URL string, got {endpoint!r}"
         )
+    updates: dict = {}
+    if token is not _UNSET:
+        updates["token"] = token
+    if tls_ca is not _UNSET:
+        updates["tls_ca"] = tls_ca
     if tls_insecure is not _UNSET:
-        tls_insecure = bool(tls_insecure)
-    given = dict(token=token, tls_ca=tls_ca, tls_insecure=tls_insecure, timeout=timeout)
-    updates = {name: value for name, value in given.items() if value is not _UNSET}
+        updates["tls_insecure"] = bool(tls_insecure)
+    if timeout is not _UNSET:
+        updates["timeout"] = timeout
     return replace(resolved, **updates) if updates else resolved

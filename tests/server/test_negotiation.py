@@ -67,6 +67,32 @@ class TestNegotiationMatrix:
             assert set(client._session.handles.of_name) == set(traces)
         assert remote == direct(traces, "n")
 
+    def test_pipeline_interns_new_ids_whenever_nothing_is_in_flight(self, loopback):
+        """With window=1 every request goes alone, so each one's new ids
+        are registered and ride a hot frame."""
+        _, host, port = loopback()
+        traces = event_traces(4, samples=64)
+        requests = [{sid: values} for sid, values in traces.items()]
+        with DetectionClient(f"repro://{host}:{port}", namespace="n") as client:
+            remote = keyed(client.pipeline(requests, window=1))
+            assert set(client._session.handles.of_name) == set(traces)
+        assert remote == direct(traces, "n")
+
+    @pytest.mark.parametrize("max_protocol", [1, PROTOCOL_VERSION + 1])
+    def test_bad_max_protocol_is_refused_before_connecting(
+        self, monkeypatch, max_protocol
+    ):
+        def no_connect(*args, **kwargs):
+            raise AssertionError("a connection was opened")
+
+        monkeypatch.setattr("socket.create_connection", no_connect)
+        monkeypatch.setattr("asyncio.open_connection", no_connect)
+        url = "repro://127.0.0.1:9"
+        with pytest.raises(ValueError, match="max_protocol"):
+            DetectionClient(url, max_protocol=max_protocol)
+        with pytest.raises(ValueError, match="max_protocol"):
+            asyncio.run(AsyncDetectionClient.connect(url, max_protocol=max_protocol))
+
     def test_v2_client_v3_server_settles_on_v2(self, loopback):
         """A frozen-v2 client (max_protocol=2) gets pre-v3 behaviour."""
         _, host, port = loopback()
