@@ -16,7 +16,11 @@ the steady-state path never materialises the full data window), which is
 what makes the detector cheap enough to run inside a live application
 (Table 3 of the paper measures exactly this per-sample cost).  The only
 full-window pass is the exact recompute every ``refresh_interval`` samples
-that cancels floating-point drift.
+that cancels floating-point drift — and it is skipped while the window
+holds only exact samples (integers with ``|x| <= 2**52 / (N + 1)``, the
+paper's ``long sample``): every incremental add and subtract is then
+exact integer arithmetic, so the running sums already equal the
+recompute bit for bit.
 
 The detector implements the :class:`~repro.core.engine.DetectorEngine`
 protocol (``update`` / ``update_batch`` / ``profile`` / ``snapshot`` /
@@ -38,7 +42,30 @@ from repro.core.minima import PeriodCandidate, select_period
 from repro.core.window import AdaptiveWindowPolicy
 from repro.util.validation import ValidationError, check_in_range, check_positive_int
 
-__all__ = ["DetectionResult", "DetectorConfig", "DynamicPeriodicityDetector"]
+__all__ = [
+    "DetectionResult",
+    "DetectorConfig",
+    "DynamicPeriodicityDetector",
+    "exact_rows",
+    "exact_sample_bound",
+]
+
+
+def exact_sample_bound(window_size: int) -> float:
+    """Largest ``|x|`` of an integer sample that keeps the AMDF sums exact.
+
+    With every sample an integer ``|x| <= 2**52 / (N + 1)``, each
+    ``|difference|`` and every running sum — including the transient one
+    between the insert and the evict of an update — is an integer no
+    larger than ``2**53``, so the incremental path never rounds.
+    """
+    return 2.0**52 / (window_size + 1)
+
+
+def exact_rows(values: np.ndarray, bound: float) -> np.ndarray:
+    """Per row of ``values`` (reduced over the last axis): are all samples
+    integers with ``|x| <= bound``?  NaN and ``±inf`` are not."""
+    return ((np.abs(values) <= bound) & (np.floor(values) == values)).all(axis=-1)
 
 
 @dataclass
@@ -68,7 +95,9 @@ class DetectorConfig:
         samples; period-start bookkeeping still happens on every sample.
     refresh_interval:
         Recompute the distance profile exactly (non-incrementally) every
-        this many samples to cancel floating-point drift.
+        this many samples to cancel floating-point drift.  The recompute
+        is skipped at a boundary where it provably writes the same bits
+        (see :func:`exact_sample_bound`); the phase is the same either way.
     loss_patience:
         Number of consecutive failed confirmations after which the lock is
         dropped and the detector returns to searching.
@@ -153,6 +182,11 @@ class DynamicPeriodicityDetector:
         # over the pairs currently inside the window.
         self._sums = np.zeros(self._max_lag + 1, dtype=np.float64)
         self._since_refresh = 0
+        # True while every sample in the window since the last executed
+        # recompute is exact: the refresh is then a no-op and is skipped.
+        # Never snapshotted — a restored detector starts "not exact".
+        self._exact = True
+        self._exact_bound = exact_sample_bound(self._window_size)
         self._lock = LockTracker(config.loss_patience)
         self._samples_since_growth = 0
 
@@ -187,6 +221,7 @@ class DynamicPeriodicityDetector:
         check_positive_int(size, "size")
         kept = self.window_values()[-size:]
         self._window_size = size
+        self._exact_bound = exact_sample_bound(size)
         self._max_lag = min(self.config.effective_max_lag, size - 1)
         self._buffer = np.zeros(size, dtype=np.float64)
         self._fill = kept.size
@@ -235,13 +270,19 @@ class DynamicPeriodicityDetector:
         return profile
 
     def _rebuild_sums(self) -> None:
-        """Exact recompute of the AMDF sums (the only full-window pass)."""
+        """Exact recompute of the AMDF sums (the only full-window pass).
+
+        Re-arms the exact-window skip only if this window is all exact
+        samples: a float sample still in the window would leave rounding
+        behind when the incremental path later evicts it.
+        """
         window = self.window_values()
         self._sums = np.zeros(self._max_lag + 1, dtype=np.float64)
         top = min(self._max_lag, window.size - 1)
         if top >= 1:
             self._sums[: top + 1] = amdf_pair_sums(window, top)
         self._since_refresh = 0
+        self._exact = bool(exact_rows(window, self._exact_bound))
 
     # ------------------------------------------------------------------
     # streaming update
@@ -249,6 +290,10 @@ class DynamicPeriodicityDetector:
     def update(self, sample: float) -> DetectionResult:
         """Consume one sample and report the detection state."""
         sample = float(sample)
+        if self._exact and not (
+            sample.is_integer() and abs(sample) <= self._exact_bound
+        ):
+            self._exact = False
         self._index += 1
         self._samples_since_growth += 1
 
@@ -288,7 +333,10 @@ class DynamicPeriodicityDetector:
 
         self._since_refresh += 1
         if self._since_refresh >= self.config.refresh_interval:
-            self._rebuild_sums()
+            if self._exact:
+                self._since_refresh = 0
+            else:
+                self._rebuild_sums()
 
         # --- evaluate the profile ----------------------------------------
         new_detection = False
@@ -373,6 +421,8 @@ class DynamicPeriodicityDetector:
         self._index = int(state["index"])
         self._sums = np.array(state["sums"], dtype=np.float64, copy=True)
         self._since_refresh = int(state["since_refresh"])
+        self._exact = False
+        self._exact_bound = exact_sample_bound(self._window_size)
         self._samples_since_growth = int(state["samples_since_growth"])
         self._lock.restore(state["lock"])
 

@@ -22,9 +22,11 @@ window shifted by a lag ``m``:
 Both metrics are provided in a batch (whole profile) and a single-lag form.
 The profiles are the quantities plotted in Figure 4 of the paper.
 
-All whole-profile evaluations are single-pass: a lag-shifted matrix built
-with :func:`numpy.lib.stride_tricks.sliding_window_view` yields every
-``|x[k+m] - x[k]|`` pair at once, so no Python loop over lags is executed.
+No whole-profile evaluation loops over lags in Python.  The magnitude
+sums run the :func:`repro.kernels.refresh_sums` kernel, one pass per
+``k`` over every lag at once; the event counts compare a lag-shifted
+matrix built with :func:`numpy.lib.stride_tricks.sliding_window_view`
+against the window in cache-sized lag blocks.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from repro import kernels
 from repro.util.validation import ValidationError, check_positive_int
 
 __all__ = [
@@ -101,26 +104,11 @@ def amdf_pair_sums(
     Returns an array of length ``max_lag + 1`` (``S[0]`` is 0).  This is the
     quantity the streaming detectors maintain incrementally; the exact
     recompute at refresh boundaries and the vectorised
-    :func:`amdf_profile` both derive from it in a single NumPy pass.
+    :func:`amdf_profile` both derive from it.  It is the one-row case of
+    :func:`amdf_pair_sums_batch`.
     """
     arr = _as_window(window)
-    n = arr.size
-    if max_lag is None:
-        max_lag = n - 1
-    check_positive_int(max_lag, "max_lag")
-    max_lag = min(max_lag, n - 1)
-    # lagged[k, m] = x[k+m], with NaN past the end of the window; the NaN
-    # pairs are exactly the (k, m) with k + m >= n, which nansum drops.
-    # Evaluated in lag blocks so the materialised difference matrix stays
-    # cache-sized for large windows.
-    lagged = _lagged_matrix(arr, max_lag, np.nan)
-    col = arr[:, None]
-    sums = np.empty(max_lag + 1, dtype=np.float64)
-    width = _lag_block_width(n, max_lag)
-    for start in range(0, max_lag + 1, width):
-        stop = min(start + width, max_lag + 1)
-        sums[start:stop] = np.nansum(np.abs(lagged[:, start:stop] - col), axis=0)
-    return sums
+    return amdf_pair_sums_batch(arr[None, :], max_lag)[0]
 
 
 def amdf_pair_sums_batch(
@@ -128,15 +116,14 @@ def amdf_pair_sums_batch(
 ) -> np.ndarray:
     """Row-wise :func:`amdf_pair_sums` over a ``(streams, n)`` matrix.
 
-    Returns a ``(streams, max_lag + 1)`` matrix whose row ``s`` is
-    bit-for-bit ``amdf_pair_sums(windows[s], max_lag)``: the lagged pair
-    matrix is the same NaN-padded strided view lifted to 3-D, and the
-    ``nansum`` reduction runs over the same (middle) pair axis in the
-    same ascending-``k`` order.  This is what the structure-of-arrays
-    bank's refresh-interval drift guard calls instead of looping
-    ``amdf_pair_sums`` per stream.
+    Returns a ``(streams, max_lag + 1)`` matrix.  Runs the
+    :func:`repro.kernels.refresh_sums` kernel: every sum accumulates its
+    pairs in ascending ``k`` and drops NaN pairs (a NaN sample, or
+    ``inf - inf``), so row ``s`` is bit-for-bit what a sequential loop
+    over ``windows[s]`` gives — and what the structure-of-arrays bank's
+    refresh-interval drift guard writes for that stream.
     """
-    arr = np.asarray(windows, dtype=np.float64)
+    arr = np.ascontiguousarray(windows, dtype=np.float64)
     if arr.ndim != 2:
         raise ValidationError("windows must be a 2-D (streams, n) matrix")
     streams, n = arr.shape
@@ -146,18 +133,8 @@ def amdf_pair_sums_batch(
         max_lag = n - 1
     check_positive_int(max_lag, "max_lag")
     max_lag = min(max_lag, n - 1)
-    padded = np.concatenate(
-        [arr, np.full((streams, max_lag), np.nan, dtype=np.float64)], axis=1
-    )
-    lagged = sliding_window_view(padded, max_lag + 1, axis=1)  # (S, n, max_lag+1)
-    col = arr[:, :, None]
     sums = np.empty((streams, max_lag + 1), dtype=np.float64)
-    width = max(1, min(max_lag + 1, _MAX_BLOCK_ELEMENTS // max(streams * n, 1)))
-    for start in range(0, max_lag + 1, width):
-        stop = min(start + width, max_lag + 1)
-        sums[:, start:stop] = np.nansum(
-            np.abs(lagged[:, :, start:stop] - col), axis=1
-        )
+    kernels.refresh_sums(arr, sums)
     return sums
 
 

@@ -1,9 +1,10 @@
 """Backend registry for the columnar hot-path kernels.
 
-The three fused kernels that dominate single-core throughput — the
-chunked magnitude AMDF recurrence, the whole-matrix period selection and
-the event-bank mismatch update — are implemented by interchangeable
-backends behind this registry:
+The four fused kernels that dominate single-core throughput — the
+chunked magnitude AMDF recurrence, the exact AMDF recompute behind the
+refresh-interval drift guard, the whole-matrix period selection and the
+event-bank mismatch update — are implemented by interchangeable backends
+behind this registry:
 
 ``numba``
     :mod:`repro.kernels.numba_backend` — ``@njit(cache=True)`` compiled
@@ -47,6 +48,7 @@ __all__ = [
     "event_step_mismatches",
     "magnitude_advance_sums",
     "numba_available",
+    "refresh_sums",
     "requested_backend",
     "select_periods_batch_impl",
     "set_backend",
@@ -59,6 +61,7 @@ _CHOICES = ("auto", "numba", "numpy", "python")
 #: The functions every backend module must export.
 KERNEL_NAMES = (
     "magnitude_advance_sums",
+    "refresh_sums",
     "event_step_mismatches",
     "select_periods_batch_impl",
 )
@@ -171,6 +174,11 @@ def magnitude_advance_sums(sums, ext, window, length):
     _resolve().magnitude_advance_sums(sums, ext, window, length)
 
 
+def refresh_sums(windows, sums):
+    """Exact AMDF pair sums of ``(streams, n)`` windows into ``sums``."""
+    _resolve().refresh_sums(windows, sums)
+
+
 def event_step_mismatches(buffers, mismatches, column, head, fill, window):
     """One lockstep step of the event-bank mismatch counts (in place)."""
     _resolve().event_step_mismatches(buffers, mismatches, column, head, fill, window)
@@ -204,6 +212,7 @@ def warmup() -> str:
     sums = np.zeros((1, 3), dtype=np.float64)
     ext = np.linspace(0.0, 1.0, 6, dtype=np.float64)[None, :]
     impl.magnitude_advance_sums(sums, ext, 4, 2)
+    impl.refresh_sums(ext, sums)
     # Events: full ring of 4 so both insert and evict paths compile.
     buffers = np.arange(4, dtype=np.int64)[None, :]
     mismatches = np.zeros((1, 3), dtype=np.int64)

@@ -16,11 +16,13 @@ Floating-point discipline — the heart of the equivalence contract: each
 kernel performs only elementwise arithmetic, per element in exactly the
 operation order of the vectorised NumPy reference in
 :mod:`repro.kernels.numpy_backend`, so results are bit-for-bit
-identical.  Reductions whose value depends on association order (the
-row means of the profile matrix: NumPy sums pairwise, a plain loop sums
-sequentially) are deliberately *not* computed here — the caller passes
-them in, computed with the one NumPy expression both backends share
-(see :mod:`repro.kernels._rowwise`).
+identical.  The one reduction computed here, the refresh's AMDF pair
+sums, is sequential in both backends: the NumPy reference adds one
+``k``-slice at a time.  Reductions that NumPy associates differently
+(the row means of the profile matrix: NumPy sums pairwise, a plain loop
+sums sequentially) are deliberately *not* computed here — the caller
+passes them in, computed with the one NumPy expression both backends
+share (see :mod:`repro.kernels._rowwise`).
 """
 
 from __future__ import annotations
@@ -93,6 +95,31 @@ def event_step_mismatches(
                     j -= window
                 if buffers[s, j] != evicted:
                     mismatches[s, lag] -= 1
+
+
+def refresh_sums(windows: np.ndarray, sums: np.ndarray) -> None:
+    """Overwrite ``sums[s, m]`` with ``sum_k |x[s, k+m] - x[s, k]|``.
+
+    The exact recompute of the AMDF sums: ``windows`` is
+    ``(streams, n)`` oldest-first, ``sums`` is ``(streams, top + 1)``
+    with ``top < n``.  Each sum accumulates its terms in ascending
+    ``k``, the order of the NumPy reference's per-``k`` slice passes.
+    A NaN term (a NaN sample, or ``inf - inf``) is skipped, which is
+    what the reference's ``fmax(|d|, 0)`` guard amounts to: adding
+    ``+0.0`` to a sum that is ``>= +0.0`` leaves it unchanged.
+    """
+    streams, n = windows.shape
+    top = sums.shape[1] - 1
+    for s in range(streams):
+        for m in range(top + 1):
+            sums[s, m] = 0.0
+        for k in range(n - 1):
+            width = min(top, n - 1 - k)
+            base = windows[s, k]
+            for m in range(1, width + 1):
+                term = abs(windows[s, k + m] - base)
+                if term >= 0.0:
+                    sums[s, m] += term
 
 
 def select_rows(

@@ -27,10 +27,12 @@ _jit = numba.njit(cache=True, fastmath=False)
 
 magnitude_advance_sums = _jit(_source.magnitude_advance_sums)
 event_step_mismatches = _jit(_source.event_step_mismatches)
+refresh_sums = _jit(_source.refresh_sums)
 select_periods_batch_impl = make_select_impl(_jit(_source.select_rows))
 
 __all__ = [
     "event_step_mismatches",
     "magnitude_advance_sums",
+    "refresh_sums",
     "select_periods_batch_impl",
 ]

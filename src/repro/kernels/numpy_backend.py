@@ -5,9 +5,11 @@ This backend is the portable fallback of the registry in
 and the *reference* the compiled backends are held to: the equivalence
 contract is bit-for-bit against these functions.  They in turn are held
 to test-side oracles written as plain loops: the scalar engines for the
-AMDF and mismatch recurrences (``tests/service/test_soa.py``) and the
-literal selection reference ``tests/_selection_oracle.py`` for the
-period selection (``tests/core/test_minima_batch.py``,
+AMDF and mismatch recurrences (``tests/service/test_soa.py``), the
+literal pair-sum reference ``tests/_refresh_oracle.py`` for the refresh
+(``tests/kernels/test_refresh_sums.py``) and the literal selection
+reference ``tests/_selection_oracle.py`` for the period selection
+(``tests/core/test_minima_batch.py``,
 ``tests/core/test_detector_oracle.py``).
 
 The period selection here is also the single-stream one:
@@ -27,6 +29,7 @@ __all__ = [
     "event_step_mismatches",
     "harmonic_kept_mask",
     "magnitude_advance_sums",
+    "refresh_sums",
     "select_periods_batch_impl",
 ]
 
@@ -104,6 +107,41 @@ def event_step_mismatches(
             )
         if m > first:
             mismatches[:, first + 1 : m + 1] -= buffers[:, : m - first] != evicted
+
+
+# ----------------------------------------------------------------------
+# (d) exact AMDF pair sums (the refresh-interval recompute)
+# ----------------------------------------------------------------------
+def refresh_sums(windows: np.ndarray, sums: np.ndarray) -> None:
+    """Overwrite ``sums[s, m]`` with ``sum_k |x[s, k+m] - x[s, k]|``.
+
+    ``windows`` is ``(streams, n)``, oldest sample first; ``sums`` is
+    ``(streams, top + 1)`` with ``top < n``.  One 2-D slice pass per
+    ``k`` adds every lag's ``k``-th term into the running sums, so each
+    sum accumulates in ascending ``k``, exactly like a sequential loop
+    over the pairs.  A NaN term (a NaN sample, or ``inf - inf``) is
+    dropped: ``fmax(|d|, 0)`` maps it to ``+0.0`` and leaves every other
+    ``|d| >= +0.0`` unchanged.  A finite window has no NaN term, so the
+    guard runs only when needed.
+    """
+    streams, n = windows.shape
+    top = sums.shape[1] - 1
+    sums.fill(0.0)
+    if top < 1:
+        return
+    finite = bool(np.isfinite(windows).all())
+    scratch = np.empty((streams, top), dtype=np.float64)
+    with np.errstate(invalid="ignore"):
+        for k in range(n - 1):
+            width = min(top, n - 1 - k)
+            term = scratch[:, :width]
+            lagged = windows[:, k + 1 : k + 1 + width]
+            np.subtract(lagged, windows[:, k : k + 1], out=term)
+            np.abs(term, out=term)
+            if not finite:
+                np.fmax(term, 0.0, out=term)
+            acc = sums[:, 1 : width + 1]
+            np.add(acc, term, out=acc)
 
 
 # ----------------------------------------------------------------------

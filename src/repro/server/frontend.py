@@ -421,6 +421,9 @@ class Frontend:
         # admitted under a half-configured policy.
         self._auth = build_authenticator(config)
         self._connections: set[Connection] = set()
+        #: Every connection handler still running, including those past
+        #: leaving ``_connections`` that are releasing their resources.
+        self._handlers: set[asyncio.Task] = set()
         self._server: asyncio.AbstractServer | None = None
         self._draining = False
         self._conn_counter = 0
@@ -499,6 +502,10 @@ class Frontend:
             await asyncio.wait(writers, timeout=_BYE_TIMEOUT)
         for conn in list(self._connections):
             conn.abort()
+        # Wait out every handler's own cleanup (its release and the close
+        # of its stream), so none is left pending when the loop stops.
+        if self._handlers:
+            await asyncio.wait(self._handlers, timeout=_BYE_TIMEOUT)
 
     def _admit_ingest(self, conn: Connection) -> bool:
         """Whether one more ingest request may start: a draining daemon
@@ -545,6 +552,8 @@ class Frontend:
         conn = self._connection(self, writer)
         conn.writer_task = asyncio.ensure_future(self._writer_loop(conn))
         self._connections.add(conn)
+        handler = asyncio.current_task()
+        self._handlers.add(handler)
         try:
             await self._serve_frames(conn, reader)
         except (asyncio.IncompleteReadError, ConnectionError):
@@ -556,16 +565,19 @@ class Frontend:
         finally:
             self._connections.discard(conn)
             conn.enqueue_reply(_CLOSE)
-            if conn.writer_task is not None:
-                try:
-                    await conn.writer_task
-                except asyncio.CancelledError:  # pragma: no cover
-                    pass
-            await self._release(conn)
             try:
-                writer.close()
-            except Exception:  # pragma: no cover
-                pass
+                if conn.writer_task is not None:
+                    try:
+                        await conn.writer_task
+                    except asyncio.CancelledError:  # pragma: no cover
+                        pass
+                await self._release(conn)
+            finally:
+                self._handlers.discard(handler)
+                try:
+                    writer.close()
+                except Exception:  # pragma: no cover
+                    pass
             if conn.dropped_events:
                 _logger.warning(
                     "connection %s: dropped %d subscriber events (slow consumer)",

@@ -191,6 +191,9 @@ class _RouterConn(Connection):
         #: Downstream clients, one per backend, created on demand.  Each
         #: shares this connection's namespace, so stream names map 1:1.
         self.links: dict[str, _BackendLink] = {}
+        #: Set once the links are being closed: a link connect still in
+        #: flight then closes its client instead of installing it.
+        self.released = False
 
 
 class DetectionRouter(Frontend):
@@ -293,6 +296,7 @@ class DetectionRouter(Frontend):
             await self._server.wait_closed()
 
     async def _close_links(self, conn: _RouterConn) -> None:
+        conn.released = True
         for backend in list(conn.links):
             await self._drop_link(conn, backend)
         conn.links.clear()
@@ -310,6 +314,8 @@ class DetectionRouter(Frontend):
         window a connect can be accepted by the dying socket and reset
         mid-handshake, which a refused-connect-only retry would miss.
         """
+        if conn.released:
+            raise ConnectionClosedError("upstream connection closed")
         link = conn.links.get(backend)
         if link is None:
             link = conn.links[backend] = _BackendLink(backend)
@@ -334,6 +340,9 @@ class DetectionRouter(Frontend):
                         await asyncio.sleep(
                             backoff_delay(attempt, self.config.retry_delay)
                         )
+                if conn.released:
+                    await client.close()
+                    raise ConnectionClosedError("upstream connection closed")
                 link.client = client
                 if conn.subscription is not None:
                     await client.subscribe(conn.subscription)

@@ -24,9 +24,12 @@ No per-stream Python survives on the hot path:
   columnar pass (the eviction/insert recurrence unrolled over the
   chunk), instead of paying the full per-``step()`` dispatch for every
   sample, and reports period starts from one vectorised mask per chunk;
-* the refresh-interval drift guard recomputes the sums for all streams
-  with one batched :func:`~repro.core.distance.amdf_pair_sums_batch`
-  pass.
+* the refresh-interval drift guard recomputes, in one batched
+  :func:`~repro.core.distance.amdf_pair_sums_batch` pass, only the rows
+  whose window holds a non-exact sample; a row of exact integers (the
+  paper's ``long sample``, see
+  :func:`~repro.core.detector.exact_sample_bound`) already has bit-exact
+  sums, and when every row does the recompute is skipped outright.
 
 Equivalence with the per-stream engine is exact by construction: the
 slice arithmetic mirrors :meth:`DynamicPeriodicityDetector.update` line
@@ -46,7 +49,12 @@ from typing import Sequence
 import numpy as np
 
 from repro import kernels
-from repro.core.detector import DetectorConfig, DynamicPeriodicityDetector
+from repro.core.detector import (
+    DetectorConfig,
+    DynamicPeriodicityDetector,
+    exact_rows,
+    exact_sample_bound,
+)
 from repro.core.distance import amdf_pair_sums_batch
 from repro.core.engine import LockTrackerBank, tag_snapshot, validate_snapshot
 from repro.core.minima import select_periods_batch
@@ -106,6 +114,10 @@ class MagnitudeSoABank:
         self._head = 0
         self._index = -1
         self._since_refresh = 0
+        # Per-row exact-window flags (see DynamicPeriodicityDetector): a
+        # row whose flag holds is left out of the refresh recompute.
+        self._exact = np.ones(streams, dtype=bool)
+        self._exact_bound = exact_sample_bound(self._window_size)
         self._locks = LockTrackerBank(streams, config.loss_patience)
         # Once the window is full, "enough samples to evaluate" never
         # changes again; precomputing it keeps the chunked pass branchless.
@@ -180,6 +192,8 @@ class MagnitudeSoABank:
                 f"expected {self.streams} samples (one per stream), got {col.size}"
             )
         self._index += 1
+        if self._exact.any():
+            self._exact &= exact_rows(col[:, None], self._exact_bound)
 
         # --- incremental AMDF sums, all streams at once -----------------
         # Identical slice arithmetic to DynamicPeriodicityDetector.update,
@@ -324,6 +338,8 @@ class MagnitudeSoABank:
         bufs = self._buffers
         sums = self._sums
         idx0 = self._index + 1
+        if self._exact.any():
+            self._exact &= exact_rows(cols, self._exact_bound)
 
         # ext = window contents oldest-first, then the incoming columns.
         ext = self._ext_scratch[:, : window + length]
@@ -412,25 +428,31 @@ class MagnitudeSoABank:
         return self._eval_profiles().copy()
 
     def _rebuild_sums(self) -> None:
-        """Exact whole-bank recompute (the refresh-interval drift guard).
+        """Exact recompute of the non-exact rows (the refresh-interval
+        drift guard).
 
-        One batched 2-D :func:`amdf_pair_sums_batch` pass — bit-for-bit
-        the per-stream ``amdf_pair_sums`` results, with no Python loop
-        over streams.
+        One batched 2-D :func:`amdf_pair_sums_batch` pass over the rows
+        whose exact flag is clear — bit-for-bit the per-stream
+        ``amdf_pair_sums`` results, with no Python loop over streams.
+        The exact rows' running sums already equal the recompute.  A
+        recomputed row re-arms its flag only if its window is all exact.
         """
+        self._since_refresh = 0
+        rows = np.flatnonzero(~self._exact)
+        if rows.size == 0:
+            return
         fill = self._fill
         head = self._head
+        bufs = self._buffers[rows]
         if fill < self._window_size:
-            windows = self._buffers[:, :fill]
+            windows = bufs[:, :fill]
         else:
-            windows = np.concatenate(
-                (self._buffers[:, head:], self._buffers[:, :head]), axis=1
-            )
+            windows = np.concatenate((bufs[:, head:], bufs[:, :head]), axis=1)
         top = min(self._max_lag, fill - 1)
-        self._sums.fill(0.0)
+        self._sums[rows] = 0.0
         if top >= 1:
-            self._sums[:, : top + 1] = amdf_pair_sums_batch(windows, top)
-        self._since_refresh = 0
+            self._sums[rows, : top + 1] = amdf_pair_sums_batch(windows, top)
+        self._exact[rows] = exact_rows(windows, self._exact_bound)
 
     # ------------------------------------------------------------------
     def snapshot_stream(self, pos: int) -> dict:
@@ -471,6 +493,7 @@ class MagnitudeSoABank:
             )
         self._buffers[pos] = np.asarray(state["buffer"], dtype=np.float64)
         self._sums[pos] = np.asarray(state["sums"], dtype=np.float64)
+        self._exact[pos] = False
         self._locks.restore_stream(pos, state["lock"])
 
     def to_engine(self, pos: int) -> DynamicPeriodicityDetector:

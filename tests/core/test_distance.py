@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import _refresh_oracle as oracle
 from repro.core.distance import (
     amdf_at_lag,
     amdf_profile,
@@ -139,6 +140,8 @@ class TestAmdfPairSumsBatch:
             assert batch.shape == (9, max_lag + 1)
             for row in range(9):
                 assert np.array_equal(batch[row], amdf_pair_sums(windows[row], max_lag))
+            # Both now run the refresh kernel, so hold them to the oracle too.
+            assert np.array_equal(batch, oracle.pair_sums_batch(windows, max_lag))
 
     def test_rejects_bad_shapes(self):
         from repro.core.distance import amdf_pair_sums_batch

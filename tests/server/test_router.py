@@ -400,7 +400,7 @@ def test_backend_sigkill_and_respawn_resumes_exact_seqs(tmp_path, loopback):
                     _wait_durable(producer, backend)
 
                 victim = 0
-                _sigkill(procs[victim])
+                _reap(procs[victim])  # SIGKILL, and close its output pipe
                 procs[victim] = _serve(states[victim], ports[victim])
 
                 produced += producer.ingest_many(chunks[1])
