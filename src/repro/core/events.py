@@ -7,12 +7,16 @@ DPD uses equation (2): a lag ``m`` is a period only when the window repeats
 *exactly* with that lag.
 
 :class:`EventPeriodicityDetector` maintains, for every candidate lag, the
-number of mismatching sample pairs inside the current window.  Both the
-pair added by a new event and the pair dropped by the eviction of the
-oldest event are updated with vectorised comparisons against contiguous
-ring-buffer slices — the steady-state path never materialises the full
-data window — so the cost per event is O(M) with a very small constant;
-this is the per-element cost measured in Table 3.
+number of mismatching sample pairs inside the current window.  One event
+(:meth:`~EventPeriodicityDetector.update`) updates the pair it adds and
+the pair the evicted event drops with vectorised comparisons against
+contiguous ring-buffer slices, O(M) per event with a very small constant;
+this is the per-element cost measured in Table 3.  A batch
+(:meth:`~EventPeriodicityDetector.update_batch`) advances in chunks along
+time instead: the :func:`repro.kernels.event_advance_counts` kernel
+builds a chunk's insert and evict comparisons in two strided passes and
+reports every step's smallest exactly-matching lag, so the per-event
+Python left is the lock state machine, shared with ``update``.
 
 The detector implements the :class:`~repro.core.engine.DetectorEngine`
 protocol (``update`` / ``update_batch`` / ``profile`` / ``snapshot`` /
@@ -27,8 +31,10 @@ from typing import Sequence
 
 import numpy as np
 
+from repro import kernels
 from repro.core.distance import event_mismatch_counts
 from repro.core.engine import DetectionResult, tag_snapshot, validate_snapshot
+from repro.util.ringbuffer import read_ring, write_ring
 from repro.util.validation import ValidationError, check_positive_int
 
 __all__ = ["EventDetectorConfig", "EventPeriodicityDetector"]
@@ -144,9 +150,7 @@ class EventPeriodicityDetector:
 
     def window_values(self) -> np.ndarray:
         """Events currently in the window, oldest first."""
-        if self._fill < self._window_size:
-            return self._buffer[: self._fill].copy()
-        return np.concatenate((self._buffer[self._head :], self._buffer[: self._head]))
+        return read_ring(self._buffer, self._head, self._fill)
 
     # ------------------------------------------------------------------
     def set_window_size(self, size: int) -> None:
@@ -203,7 +207,10 @@ class EventPeriodicityDetector:
     def update(self, event: int) -> DetectionResult:
         """Consume one event value and report the detection state."""
         value = int(event)
-        self._index += 1
+        if not -(2**63) <= value < 2**63:
+            # Refused before the counts move; the int64 store below would
+            # raise only after them.
+            raise OverflowError(f"event {value} does not fit in int64")
 
         # Maintain the incremental mismatch counts on contiguous ring
         # buffer slices (no full-window copy): the last m events in
@@ -237,60 +244,91 @@ class EventPeriodicityDetector:
         if fill < self._window_size:
             self._fill = fill + 1
 
-        new_detection = self._update_lock()
-        is_start = self._is_period_start(value)
-        confidence = 1.0 if self._locked_period is not None else 0.0
-        return DetectionResult(
-            index=self._index,
-            period=self._locked_period,
-            is_period_start=is_start,
-            new_detection=new_detection,
-            confidence=confidence,
-        )
+        matched = self.matched_lags()
+        return self._advance_lock(value, int(matched[0]) if matched.size else 0)
 
     def update_batch(self, samples: Sequence[int] | np.ndarray) -> list[DetectionResult]:
         """Consume a batch of events; one :class:`DetectionResult` each.
 
         Exactly equivalent to calling :meth:`update` in a loop (the batch
-        ingestion path of the service layer).
+        ingestion path of the service layer), but advanced in chunks
+        along time: one :func:`repro.kernels.event_advance_counts` call
+        per chunk updates the mismatch counts and yields every step's
+        fundamental lag, then the lock state machine runs per event.
+
+        Each sample is converted as ``int(v)`` would: floats truncate, a
+        NaN raises ``ValueError`` and ``±inf`` or a value outside int64
+        raises ``OverflowError``.  Unlike a loop over :meth:`update`,
+        which consumes the events before the bad one, the whole batch is
+        converted first, so a failed batch leaves the detector unchanged.
         """
-        update = self.update
-        return [update(int(v)) for v in np.asarray(samples)]
+        values = _as_events(samples)
+        cfg = self.config
+        results: list[DetectionResult] = []
+        step = kernels.chunk_columns(1, self._max_lag)
+        for start in range(0, values.size, step):
+            chunk = values[start : start + step]
+            buf, head, fill = self._buffer, self._head, self._fill
+            ext = read_ring(buf, head, fill, chunk)[None, :]
+            fundamentals = np.empty((1, chunk.size), dtype=np.int64)
+            kernels.event_advance_counts(
+                ext,
+                self._mismatches[None, :],
+                fundamentals,
+                fill,
+                self._window_size,
+                cfg.min_lag,
+                cfg.min_repetitions,
+                cfg.require_full_window,
+            )
+            self._head = write_ring(buf, head, chunk)
+            self._fill = min(self._window_size, fill + chunk.size)
+            lags = fundamentals[0].tolist()
+            results += map(self._advance_lock, chunk.tolist(), lags)
+        return results
 
-    # ------------------------------------------------------------------
-    def _update_lock(self) -> bool:
-        matched = self.matched_lags()
-        if matched.size == 0:
-            if self._locked_period is not None:
-                self._misses += 1
-                if self._misses >= self.config.loss_patience:
-                    self._locked_period = None
-                    self._anchor = None
-                    self._misses = 0
-            return False
+    def _advance_lock(self, value: int, fundamental: int) -> DetectionResult:
+        """The lock state machine, one event: ``fundamental`` is the
+        smallest exactly-matching lag after the event (0 for none)."""
+        self._index += 1
+        index = self._index
+        new_detection = False
+        if fundamental:
+            self._misses = 0
+            if fundamental != self._locked_period:
+                self._locked_period = fundamental
+                self._anchor = index
+                self._anchor_value = value
+                self._detected_periods[fundamental] = (
+                    self._detected_periods.get(fundamental, 0) + 1
+                )
+                new_detection = True
+        elif self._locked_period is not None:
+            self._misses += 1
+            if self._misses >= self.config.loss_patience:
+                self._locked_period = None
+                self._anchor = None
+                self._misses = 0
 
-        self._misses = 0
-        fundamental = int(matched[0])
-        if fundamental == self._locked_period:
-            return False
-        self._locked_period = fundamental
-        self._anchor = self._index
-        self._anchor_value = int(self._buffer[(self._head - 1) % self._window_size])
-        self._detected_periods[fundamental] = (
-            self._detected_periods.get(fundamental, 0) + 1
+        period = self._locked_period
+        anchor = self._anchor
+        # A period starts every `period` events from the anchor, where
+        # the phase is confirmed: the event value must match the value
+        # observed at the anchor (the function that opens the iterative
+        # structure, Section 5.1 of the paper).
+        is_start = (
+            period is not None
+            and anchor is not None
+            and (index - anchor) % period == 0
+            and (value == self._anchor_value or index == anchor)
         )
-        return True
-
-    def _is_period_start(self, value: int) -> bool:
-        if self._locked_period is None or self._anchor is None:
-            return False
-        offset = self._index - self._anchor
-        if offset % self._locked_period != 0:
-            return False
-        # Confirm the phase: at a period start the event value must match
-        # the value observed at the anchor (the function that opens the
-        # iterative structure, Section 5.1 of the paper).
-        return value == self._anchor_value or offset == 0
+        return DetectionResult(
+            index=index,
+            period=period,
+            is_period_start=is_start,
+            new_detection=new_detection,
+            confidence=1.0 if period is not None else 0.0,
+        )
 
     # ------------------------------------------------------------------
     # state serialisation (DetectorEngine protocol)
@@ -337,3 +375,21 @@ class EventPeriodicityDetector:
     def reset(self) -> None:
         """Forget all events and detections; keep the configuration."""
         self.__init__(self.config)
+
+
+def _as_events(samples: Sequence[int] | np.ndarray) -> np.ndarray:
+    """``samples`` as 1-D int64, converted as ``int(v)`` would be; the
+    first unconvertible sample raises what ``int(v)`` and an int64 store
+    raise, before any of the batch is consumed."""
+    arr = np.asarray(samples)
+    kind = arr.dtype.kind
+    if arr.ndim != 1 or kind not in "biuf":
+        return np.array([int(v) for v in arr], dtype=np.int64)
+    if kind in "uf":
+        # NaN fails both comparisons; truncation toward zero is int()'s.
+        ok = (arr >= -(2**63)) & (arr < 2**63)
+        if not ok.all():
+            bad = arr[np.argmin(ok)]
+            int(bad)  # NaN and ±inf raise here, as under int(v)
+            raise OverflowError(f"event {bad!r} does not fit in int64")
+    return arr.astype(np.int64)

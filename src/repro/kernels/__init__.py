@@ -3,8 +3,8 @@
 The four fused kernels that dominate single-core throughput — the
 chunked magnitude AMDF recurrence, the exact AMDF recompute behind the
 refresh-interval drift guard, the whole-matrix period selection and the
-event-bank mismatch update — are implemented by interchangeable backends
-behind this registry:
+chunked event mismatch counts with their per-step fundamental lag — are
+implemented by interchangeable backends behind this registry:
 
 ``numba``
     :mod:`repro.kernels.numba_backend` — ``@njit(cache=True)`` compiled
@@ -42,10 +42,12 @@ from types import ModuleType
 import numpy as np
 
 __all__ = [
+    "CHUNK_BUDGET_ELEMENTS",
     "ENV_VAR",
     "KERNEL_NAMES",
     "backend_name",
-    "event_step_mismatches",
+    "chunk_columns",
+    "event_advance_counts",
     "magnitude_advance_sums",
     "numba_available",
     "refresh_sums",
@@ -62,9 +64,22 @@ _CHOICES = ("auto", "numba", "numpy", "python")
 KERNEL_NAMES = (
     "magnitude_advance_sums",
     "refresh_sums",
-    "event_step_mismatches",
+    "event_advance_counts",
     "select_periods_batch_impl",
 )
+
+#: Upper bound on the elements of one ``(rows, chunk, lags)`` scratch
+#: block a chunked kernel call may materialise.  Callers cut their
+#: chunks with :func:`chunk_columns`, which bounds the working set of
+#: the magnitude and event passes without limiting how many columns a
+#: batch may hold.
+CHUNK_BUDGET_ELEMENTS = 1 << 21
+
+
+def chunk_columns(rows: int, lags: int) -> int:
+    """Most columns one chunk of ``rows`` x ``lags`` may span (at least 1)."""
+    return max(1, CHUNK_BUDGET_ELEMENTS // max(rows * lags, 1))
+
 
 _active: ModuleType | None = None
 _active_name: str | None = None
@@ -179,9 +194,20 @@ def refresh_sums(windows, sums):
     _resolve().refresh_sums(windows, sums)
 
 
-def event_step_mismatches(buffers, mismatches, column, head, fill, window):
-    """One lockstep step of the event-bank mismatch counts (in place)."""
-    _resolve().event_step_mismatches(buffers, mismatches, column, head, fill, window)
+def event_advance_counts(
+    ext, mismatches, out, fill, window, min_lag, min_repetitions, require_full_window
+):
+    """Chunked event mismatch counts (in place) and per-step fundamentals."""
+    _resolve().event_advance_counts(
+        ext,
+        mismatches,
+        out,
+        fill,
+        window,
+        min_lag,
+        min_repetitions,
+        require_full_window,
+    )
 
 
 def select_periods_batch_impl(P, min_lag, min_depth, harmonic_tolerance):
@@ -213,11 +239,12 @@ def warmup() -> str:
     ext = np.linspace(0.0, 1.0, 6, dtype=np.float64)[None, :]
     impl.magnitude_advance_sums(sums, ext, 4, 2)
     impl.refresh_sums(ext, sums)
-    # Events: full ring of 4 so both insert and evict paths compile.
-    buffers = np.arange(4, dtype=np.int64)[None, :]
-    mismatches = np.zeros((1, 3), dtype=np.int64)
-    column = np.zeros(1, dtype=np.int64)
-    impl.event_step_mismatches(buffers, mismatches, column, 1, 4, 4)
+    # Events: a ring of 3 filling up to 4 within the chunk, so the
+    # insert, evict and filling paths all compile.
+    ext = np.array([[1, 2, 1, 2, 1, 2]], dtype=np.int64)
+    mismatches = np.array([[0, 2, 0]], dtype=np.int64)
+    fundamentals = np.empty((1, 3), dtype=np.int64)
+    impl.event_advance_counts(ext, mismatches, fundamentals, 3, 4, 1, 2, False)
     # Selection: one row with a genuine minimum at lag 4.
     profile = np.array([[np.nan, 3.0, 2.5, 1.0, 0.1, 1.2, 2.0, 0.4]])
     impl.select_periods_batch_impl(profile, 1, 0.25, 0.15)

@@ -54,47 +54,57 @@ def magnitude_advance_sums(
                 sums[s, lag] = grown - abs(ext[s, t + lag] - evicted)
 
 
-def event_step_mismatches(
-    buffers: np.ndarray,
+def event_advance_counts(
+    ext: np.ndarray,
     mismatches: np.ndarray,
-    column: np.ndarray,
-    head: int,
+    out: np.ndarray,
     fill: int,
     window: int,
+    min_lag: int,
+    min_repetitions: int,
+    require_full_window: bool,
 ) -> None:
-    """One lockstep step of the event bank's incremental mismatch counts.
+    """Advance the event mismatch counts by a chunk; per-step fundamentals.
 
-    For every stream, compares the incoming event ``column[s]`` against
-    the ``min(max_lag, fill)`` most recent ring entries (the insert
-    terms) and, when the ring is full, retracts the comparisons the
-    evicted entry ``buffers[s, head]`` contributed (the evict terms).
-    ``mismatches`` is updated in place; the caller writes the column
-    into the ring afterwards, exactly like the scalar engine.  All
-    arithmetic is integer, so equivalence with the NumPy reference is
-    exact by construction.
+    ``ext`` holds each row's ring contents oldest-first (``fill``
+    events) followed by the ``out.shape[1]`` incoming events, and
+    ``mismatches`` is the ``(rows, max_lag + 1)`` count matrix, updated
+    in place.  Step ``t`` counts the new event against the
+    ``min(max_lag, fill_t)`` events before it and, once the window is
+    full, retracts the pairs of the evicted event — the scalar engine's
+    per-event update.  ``out[s, t]`` receives the smallest lag that then
+    repeats exactly (0 when none does): at least ``min_lag``, at most
+    ``fill - 1`` and ``fill // min_repetitions``, and none while the
+    window fills when ``require_full_window`` is set.  All arithmetic is
+    integer, so every backend is exact by construction.
     """
-    streams = mismatches.shape[0]
+    rows = mismatches.shape[0]
     top = mismatches.shape[1] - 1
-    if fill > 0:
-        m = min(top, fill)
-        for s in range(streams):
-            sample = column[s]
-            for lag in range(1, m + 1):
-                j = head - lag
-                if j < 0:
-                    j += window
-                if buffers[s, j] != sample:
+    length = out.shape[1]
+    for s in range(rows):
+        f = fill
+        for t in range(length):
+            p = fill + t
+            sample = ext[s, p]
+            for lag in range(1, min(top, f) + 1):
+                if ext[s, p - lag] != sample:
                     mismatches[s, lag] += 1
-    if fill == window and fill > 1:
-        m = min(top, fill - 1)
-        for s in range(streams):
-            evicted = buffers[s, head]
-            for lag in range(1, m + 1):
-                j = head + lag
-                if j >= window:
-                    j -= window
-                if buffers[s, j] != evicted:
-                    mismatches[s, lag] -= 1
+            if f == window and f > 1:
+                base = p - window
+                evicted = ext[s, base]
+                for lag in range(1, min(top, f - 1) + 1):
+                    if ext[s, base + lag] != evicted:
+                        mismatches[s, lag] -= 1
+            if f < window:
+                f += 1
+            found = 0
+            if f >= 2 and (f == window or not require_full_window):
+                hi = min(top, f - 1, f // min_repetitions)
+                for lag in range(min_lag, hi + 1):
+                    if mismatches[s, lag] == 0:
+                        found = lag
+                        break
+            out[s, t] = found
 
 
 def refresh_sums(windows: np.ndarray, sums: np.ndarray) -> None:

@@ -4,9 +4,11 @@ This backend is the portable fallback of the registry in
 :mod:`repro.kernels` — always importable, no compiled dependencies —
 and the *reference* the compiled backends are held to: the equivalence
 contract is bit-for-bit against these functions.  They in turn are held
-to test-side oracles written as plain loops: the scalar engines for the
-AMDF and mismatch recurrences (``tests/service/test_soa.py``), the
-literal pair-sum reference ``tests/_refresh_oracle.py`` for the refresh
+to test-side oracles written as plain loops: the scalar engine for the
+AMDF recurrence (``tests/service/test_soa.py``), the literal per-step
+window recount ``tests/_event_oracle.py`` for the event counts
+(``tests/kernels/test_event_advance_counts.py``), the literal pair-sum
+reference ``tests/_refresh_oracle.py`` for the refresh
 (``tests/kernels/test_refresh_sums.py``) and the literal selection
 reference ``tests/_selection_oracle.py`` for the period selection
 (``tests/core/test_minima_batch.py``,
@@ -26,7 +28,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "best_candidate_index",
-    "event_step_mismatches",
+    "event_advance_counts",
     "harmonic_kept_mask",
     "magnitude_advance_sums",
     "refresh_sums",
@@ -67,46 +69,83 @@ def magnitude_advance_sums(
 
 
 # ----------------------------------------------------------------------
-# (c) event-bank incremental mismatch update
+# (c) chunked event mismatch counts and per-step fundamentals
 # ----------------------------------------------------------------------
-def event_step_mismatches(
-    buffers: np.ndarray,
+def event_advance_counts(
+    ext: np.ndarray,
     mismatches: np.ndarray,
-    column: np.ndarray,
-    head: int,
+    out: np.ndarray,
     fill: int,
     window: int,
+    min_lag: int,
+    min_repetitions: int,
+    require_full_window: bool,
 ) -> None:
-    """One lockstep step of the event bank's mismatch counts (in place).
+    """Advance the event mismatch counts by a chunk; per-step fundamentals.
 
-    Identical slice arithmetic to ``EventPeriodicityDetector.update``,
-    lifted to 2-D: every stream shares ``head``/``fill`` because the
-    bank advances in lockstep.  The caller writes ``column`` into the
-    ring afterwards.
+    ``ext`` is each row's ring contents oldest-first (``fill`` events)
+    followed by the ``out.shape[1]`` incoming events.  The insert and
+    evict comparisons of the whole chunk are two strided passes over
+    ``ext``; a running sum over time turns them into every step's counts
+    relative to the starting ``mismatches``, and one first-zero
+    ``argmax`` per step writes the smallest exactly-matching lag into
+    ``out`` (0 when none matches).  Lags above ``fill // min_repetitions``
+    or ``fill - 1`` of the step, below ``min_lag``, or in a filling window
+    under ``require_full_window`` never match.  ``mismatches`` ends at
+    the last step's counts.
     """
-    top = mismatches.shape[1] - 1
-    sample = column[:, None]
-    if fill:
-        m = min(top, fill)
-        if m <= head:
-            mismatches[:, 1 : m + 1] += buffers[:, head - m : head][:, ::-1] != sample
-        else:
-            if head:
-                mismatches[:, 1 : head + 1] += buffers[:, head - 1 :: -1] != sample
-            tail = m - head
-            mismatches[:, head + 1 : m + 1] += (
-                buffers[:, -1 : -tail - 1 : -1] != sample
-            )
-    if fill == window and fill > 1:
-        evicted = buffers[:, head].copy()[:, None]
-        m = min(top, fill - 1)
-        first = min(m, fill - 1 - head)
-        if first:
-            mismatches[:, 1 : first + 1] -= (
-                buffers[:, head + 1 : head + 1 + first] != evicted
-            )
-        if m > first:
-            mismatches[:, first + 1 : m + 1] -= buffers[:, : m - first] != evicted
+    rows, width = mismatches.shape
+    top = width - 1
+    length = out.shape[1]
+    out.fill(0)
+    if top < 1 or length == 0:
+        return
+    pad = max(top - fill, 0)
+    src = ext
+    if pad:
+        src = np.concatenate((np.zeros((rows, pad), dtype=ext.dtype), ext), axis=1)
+    # sw[j, :, k] = src[:, j + k]: the window of top + 1 events from j,
+    # time-major, so that each step's counts are one contiguous block.
+    sw = sliding_window_view(src, top + 1, axis=1).transpose(1, 0, 2)
+    # Insert terms: step t compares ext[:, fill + t] with the event lag
+    # places before it.  Read backwards, the window ending at the new
+    # event starts with it and then runs through lags 1 .. top.
+    ins = sw[pad + fill - top : pad + fill - top + length, :, ::-1]
+    delta = np.empty((length, rows, top), dtype=np.int32)
+    np.not_equal(ins[:, :, 1:], ins[:, :, :1], out=delta)
+    # Evict terms: once the window is full, step t drops the pairs of
+    # ext[:, fill + t - window] with the events after it.
+    t_ev = max(window - fill, 0)
+    if t_ev < length:
+        ev = sw[pad + fill + t_ev - window : pad + fill + length - window]
+        np.subtract(delta[t_ev:], ev[:, :, 1:] != ev[:, :, :1], out=delta[t_ev:])
+    if fill == window:
+        hi_first = hi_last = min(top, window - 1, window // min_repetitions)
+    else:
+        steps = np.arange(length)
+        # Lags reaching past the first event in the ring have no pair yet.
+        filling = min(length, top - fill)
+        if filling > 0:
+            delta[:filling] *= (np.arange(top) < fill + steps[:filling, None])[:, None]
+        after = np.minimum(fill + 1 + steps, window)  # fill after step t
+        hi = np.minimum(np.minimum(after - 1, after // min_repetitions), top)
+        if require_full_window:
+            hi[after < window] = 0
+        hi_first, hi_last = int(hi[0]), int(hi[-1])
+    # Running sum over time, one contiguous (rows, lags) add per step:
+    # np.add.accumulate along this axis pays per (row, lag), ~25x more
+    # on a 1000-row block.
+    for t in range(1, length):
+        np.add(delta[t], delta[t - 1], out=delta[t])
+
+    # First zero count per step, over the lags any step may accept.
+    lo = min_lag
+    if hi_last >= lo:
+        hit = delta[:, :, lo - 1 : hi_last] == -mismatches[:, lo : hi_last + 1]
+        if hi_first < hi_last:
+            hit &= (np.arange(lo, hi_last + 1) <= hi[:, None])[:, None]
+        np.copyto(out.T, hit.argmax(axis=2) + lo, where=hit.any(axis=2))
+    mismatches[:, 1:] += delta[-1]
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ from repro.kernels import _source
 from repro.kernels._rowwise import make_select_impl
 
 magnitude_advance_sums = _source.magnitude_advance_sums
-event_step_mismatches = _source.event_step_mismatches
+event_advance_counts = _source.event_advance_counts
 select_periods_batch_impl = make_select_impl(_source.select_rows)
 
 
@@ -26,7 +26,7 @@ def refresh_sums(windows, sums):
 
 
 __all__ = [
-    "event_step_mismatches",
+    "event_advance_counts",
     "magnitude_advance_sums",
     "refresh_sums",
     "select_periods_batch_impl",

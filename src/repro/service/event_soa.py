@@ -1,23 +1,25 @@
 """Structure-of-arrays backend for homogeneous lockstep *event* streams.
 
 Event mode is the paper's primary metric (equation 2, identifier streams)
-and the pool's default mode, yet until this module only magnitude fleets
-had a vectorised lockstep path.  :class:`EventSoABank` closes that gap:
-when every stream shares one
+and the pool's default mode.  :class:`EventSoABank` is its vectorised
+lockstep path: when every stream shares one
 :class:`~repro.core.events.EventDetectorConfig` and the streams advance
-in lockstep, the per-event mismatch bookkeeping of *all* streams
-collapses into the same contiguous slice arithmetic on 2-D arrays —
-``buffers`` is ``(streams, window)`` int64 and ``mismatches`` is
-``(streams, max_lag + 1)`` int64 — so one vectorised comparison advances
-every stream at once.
+in lockstep, the mismatch bookkeeping of *all* streams runs on 2-D
+arrays — ``buffers`` is ``(streams, window)`` int64 and ``mismatches``
+is ``(streams, max_lag + 1)`` int64.  :meth:`EventSoABank.process`
+advances them in chunks along time: one
+:func:`repro.kernels.event_advance_counts` call per chunk (the kernel
+the per-stream engine's ``update_batch`` runs on one row) updates the
+counts and yields every stream's fundamental lag at every step, with
+the chunk's scratch bounded by :data:`repro.kernels.CHUNK_BUDGET_ELEMENTS`.
 
 Equivalence with the per-stream engine is exact by construction: the
-slice arithmetic mirrors :meth:`EventPeriodicityDetector.update` line by
-line, and the lock state machine (``matched_lags`` -> smallest matching
-lag -> miss counting -> anchor-value phase check) runs as whole-bank
-array transitions that reproduce ``_update_lock`` / ``_is_period_start``
-bit for bit.  :meth:`EventSoABank.snapshot_stream` emits a snapshot in
-the engine format, so a stream can be handed back to a standalone
+counts are integers, and the lock state machine (smallest matching lag
+-> miss counting -> anchor-value phase check) runs per column as
+whole-bank array transitions that reproduce
+``EventPeriodicityDetector._advance_lock`` bit for bit.
+:meth:`EventSoABank.snapshot_stream` emits a snapshot in the engine
+format, so a stream can be handed back to a standalone
 :class:`EventPeriodicityDetector` at any point (the pool does exactly
 that after a lockstep run).
 """
@@ -31,6 +33,7 @@ import numpy as np
 from repro import kernels
 from repro.core.engine import tag_snapshot, validate_snapshot
 from repro.core.events import EventDetectorConfig, EventPeriodicityDetector
+from repro.util.ringbuffer import read_ring, write_ring
 from repro.util.validation import ValidationError
 
 __all__ = ["EventSoABank"]
@@ -83,11 +86,7 @@ class EventSoABank:
         self._misses = np.zeros(streams, dtype=np.int64)
         #: per stream: period -> number of times it was (re-)locked
         self._detected: list[dict[int, int]] = [{} for _ in ids]
-        # Cached candidate-lag range of _fundamentals; rebuilt only while
-        # the window is still filling (the top lag then grows), constant
-        # afterwards, so the per-step hot path allocates no index arrays.
-        self._fund_lags = np.empty(0, dtype=np.int64)
-        self._fund_top = -2
+        self._chunk_cap = kernels.chunk_columns(streams, self._max_lag)
 
     # ------------------------------------------------------------------
     @property
@@ -111,14 +110,20 @@ class EventSoABank:
 
     # ------------------------------------------------------------------
     def step(
-        self, values: Sequence[int] | np.ndarray
+        self,
+        values: Sequence[int] | np.ndarray,
+        fundamentals: np.ndarray | None = None,
     ) -> list[tuple[int, int, float, bool]]:
         """Feed one event to every stream (lockstep).
 
         Returns one ``(stream_pos, period, confidence, new_detection)``
         tuple per stream whose new event starts a period instance — the
         same boundaries a standalone detector would report via
-        ``DetectionResult.is_period_start``.
+        ``DetectionResult.is_period_start``.  :meth:`process` passes
+        ``fundamentals``, each stream's smallest matching lag at this
+        column, once its chunk kernel call has already advanced the
+        counts and the ring past it; the step then only runs the lock
+        transitions.
         """
         col = np.asarray(values)
         if col.size != self.streams:
@@ -126,26 +131,12 @@ class EventSoABank:
                 f"expected {self.streams} events (one per stream), got {col.size}"
             )
         col = col.astype(np.int64, copy=False).ravel()
+        if fundamentals is None:
+            fundamentals = self._advance_counts(col[:, None])[:, 0]
         self._index += 1
 
-        # --- incremental mismatch counts, all streams at once -----------
-        # The active kernels backend runs the same arithmetic as
-        # EventPeriodicityDetector.update lifted to 2-D: every stream
-        # shares head/fill because the bank advances in lockstep.
-        bufs = self._buffers
-        head = self._head
-        fill = self._fill
-        kernels.event_step_mismatches(
-            bufs, self._mismatches, col, head, fill, self._window_size
-        )
-
-        bufs[:, head] = col
-        self._head = (head + 1) % self._window_size
-        if fill < self._window_size:
-            self._fill = fill + 1
-
         # --- lock transitions, whole bank at once ------------------------
-        new_detection = self._update_locks(col)
+        new_detection = self._update_locks(col, fundamentals)
 
         # --- period starts, one vectorised pass --------------------------
         locked = self._periods > 0
@@ -155,44 +146,76 @@ class EventSoABank:
         on_boundary = locked & (offsets % np.where(locked, self._periods, 1) == 0)
         phase_ok = (col == self._anchor_values) | (offsets == 0)
         starting = np.flatnonzero(on_boundary & phase_ok)
-        return [
-            (int(pos), int(self._periods[pos]), 1.0, bool(new_detection[pos]))
-            for pos in starting
-        ]
+        return list(
+            zip(
+                starting.tolist(),
+                self._periods[starting].tolist(),
+                (1.0,) * starting.size,
+                new_detection[starting].tolist(),
+            )
+        )
 
-    def _fundamentals(self) -> np.ndarray:
-        """Smallest exactly-matching lag per stream (0 when none matches).
+    def process(self, matrix: np.ndarray) -> list[tuple[int, int, int, float, bool]]:
+        """Feed a ``(streams, events)`` matrix, in chunks along time.
 
-        The vectorised equivalent of ``EventPeriodicityDetector.matched_lags``
-        followed by ``matched[0]``.
+        Returns one ``(stream_pos, index, period, confidence,
+        new_detection)`` tuple per detected period start, in step
+        (chronological) order — per-stream order is contractual: the
+        pool assigns each stream's monotonic event ``seq`` from it.
+        One kernel call per chunk advances the counts and the ring,
+        then :meth:`step` runs the lock transitions column by column.
         """
-        fundamentals = np.zeros(self.streams, dtype=np.int64)
-        fill = self._fill
-        if fill < 2:
-            return fundamentals
-        if self.config.require_full_window and fill < self._window_size:
-            return fundamentals
-        top = min(self._max_lag, fill - 1)
-        if top != self._fund_top:
-            self._fund_lags = np.arange(self.config.min_lag, top + 1)
-            self._fund_top = top
-        lags = self._fund_lags
-        if lags.size == 0:
-            return fundamentals
-        ok = self._mismatches[:, lags] == 0
-        ok &= fill >= self.config.min_repetitions * lags
-        has_match = ok.any(axis=1)
-        first = ok.argmax(axis=1)
-        return np.where(has_match, lags[first], 0)
+        arr = np.asarray(matrix)
+        if arr.ndim != 2 or arr.shape[0] != self.streams:
+            raise ValidationError(
+                f"matrix must have shape (streams={self.streams}, events)"
+            )
+        arr = arr.astype(np.int64, copy=False)
+        out: list[tuple[int, int, int, float, bool]] = []
+        for start in range(0, arr.shape[1], self._chunk_cap):
+            cols = arr[:, start : start + self._chunk_cap]
+            fundamentals = self._advance_counts(cols)
+            for t in range(cols.shape[1]):
+                index = self._index + 1
+                for pos, period, confidence, new in self.step(
+                    cols[:, t], fundamentals[:, t]
+                ):
+                    out.append((pos, index, period, confidence, new))
+        return out
 
-    def _update_locks(self, col: np.ndarray) -> np.ndarray:
+    def _advance_counts(self, cols: np.ndarray) -> np.ndarray:
+        """Advance the counts and the ring by the columns of ``cols`` in
+        one kernel call; returns each stream's smallest matching lag
+        after each column (0 when none matches)."""
+        length = cols.shape[1]
+        bufs = self._buffers
+        head = self._head
+        fill = self._fill
+        ext = read_ring(bufs, head, fill, cols)
+        fundamentals = np.empty((self.streams, length), dtype=np.int64)
+        cfg = self.config
+        kernels.event_advance_counts(
+            ext,
+            self._mismatches,
+            fundamentals,
+            fill,
+            self._window_size,
+            cfg.min_lag,
+            cfg.min_repetitions,
+            cfg.require_full_window,
+        )
+        self._head = write_ring(bufs, head, cols)
+        self._fill = min(self._window_size, fill + length)
+        return fundamentals
+
+    def _update_locks(self, col: np.ndarray, fundamentals: np.ndarray) -> np.ndarray:
         """Advance every stream's lock; returns the new-detection mask.
 
-        Vectorised transcription of ``EventPeriodicityDetector._update_lock``:
-        miss counting and lock loss for unmatched locked streams, miss
-        reset plus (re-)anchoring for streams whose fundamental changed.
+        Vectorised transcription of ``EventPeriodicityDetector._advance_lock``
+        given each stream's smallest matching lag (0 for none): miss
+        counting and lock loss for unmatched locked streams, miss reset
+        plus (re-)anchoring for streams whose fundamental changed.
         """
-        fundamentals = self._fundamentals()
         matched = fundamentals > 0
 
         unmatched_locked = ~matched & (self._periods > 0)
@@ -214,27 +237,6 @@ class EventSoABank:
                 counts[period] = counts.get(period, 0) + 1
         return changed
 
-    def process(self, matrix: np.ndarray) -> list[tuple[int, int, int, float, bool]]:
-        """Feed a ``(streams, events)`` matrix column by column.
-
-        Returns one ``(stream_pos, index, period, confidence,
-        new_detection)`` tuple per detected period start, in step
-        (chronological) order — per-stream order is contractual: the
-        pool assigns each stream's monotonic event ``seq`` from it.
-        """
-        arr = np.asarray(matrix)
-        if arr.ndim != 2 or arr.shape[0] != self.streams:
-            raise ValidationError(
-                f"matrix must have shape (streams={self.streams}, events)"
-            )
-        arr = arr.astype(np.int64, copy=False)
-        out: list[tuple[int, int, int, float, bool]] = []
-        for t in range(arr.shape[1]):
-            index = self._index + 1
-            for pos, period, confidence, new in self.step(arr[:, t]):
-                out.append((pos, index, period, confidence, new))
-        return out
-
     # ------------------------------------------------------------------
     def profiles(self) -> np.ndarray:
         """Equation (2) profiles, shape ``(streams, max_lag + 1)``.
@@ -247,8 +249,8 @@ class EventSoABank:
         the magnitude bank (whose evaluation consumes its profile matrix
         every ``evaluation_interval`` steps and therefore reuses a
         preallocated scratch), the event hot path reads the mismatch
-        counters directly in ``_fundamentals`` — this accessor only
-        serves inspection and tests.
+        counters inside the kernel — this accessor only serves
+        inspection and tests.
         """
         profiles = np.full((self.streams, self._max_lag + 1), -1, dtype=np.int64)
         hi = min(self._max_lag, self._fill - 1)

@@ -58,15 +58,10 @@ from repro.core.detector import (
 from repro.core.distance import amdf_pair_sums_batch
 from repro.core.engine import LockTrackerBank, tag_snapshot, validate_snapshot
 from repro.core.minima import select_periods_batch
+from repro.util.ringbuffer import read_ring, write_ring
 from repro.util.validation import ValidationError
 
 __all__ = ["MagnitudeSoABank"]
-
-#: Upper bound on the number of 3-D scratch elements (streams x chunk x
-#: max_lag) a chunked columnar pass may materialise; bounds the working
-#: set without limiting how many columns :meth:`MagnitudeSoABank.process`
-#: accepts.
-_CHUNK_BUDGET_ELEMENTS = 1 << 21
 
 
 class MagnitudeSoABank:
@@ -137,12 +132,8 @@ class MagnitudeSoABank:
             -1,
             dtype=np.float64,
         )
-        self._chunk_cap = max(
-            1,
-            min(
-                self._window_size,
-                _CHUNK_BUDGET_ELEMENTS // max(streams * max(self._max_lag, 1), 1),
-            ),
+        self._chunk_cap = min(
+            self._window_size, kernels.chunk_columns(streams, self._max_lag)
         )
         # Window contents (oldest first) + incoming chunk, rebuilt per pass.
         self._ext_scratch = np.empty(
@@ -343,22 +334,11 @@ class MagnitudeSoABank:
 
         # ext = window contents oldest-first, then the incoming columns.
         ext = self._ext_scratch[:, : window + length]
-        ext[:, : window - head] = bufs[:, head:]
-        if head:
-            ext[:, window - head : window] = bufs[:, :head]
-        ext[:, window:] = cols
+        read_ring(bufs, head, window, cols, ext)
 
         kernels.magnitude_advance_sums(sums, ext, window, length)
 
-        # Ring write of the chunk (at most one wrap: length <= window).
-        end = head + length
-        if end <= window:
-            bufs[:, head:end] = cols
-        else:
-            split = window - head
-            bufs[:, head:] = cols[:, :split]
-            bufs[:, : end - window] = cols[:, split:]
-        self._head = end % window
+        self._head = write_ring(bufs, head, cols)
         self._index += length
         self._since_refresh += length
         if self._since_refresh >= self.config.refresh_interval:
@@ -444,10 +424,7 @@ class MagnitudeSoABank:
         fill = self._fill
         head = self._head
         bufs = self._buffers[rows]
-        if fill < self._window_size:
-            windows = bufs[:, :fill]
-        else:
-            windows = np.concatenate((bufs[:, head:], bufs[:, :head]), axis=1)
+        windows = read_ring(bufs, head, fill)
         top = min(self._max_lag, fill - 1)
         self._sums[rows] = 0.0
         if top >= 1:

@@ -14,7 +14,54 @@ import numpy as np
 
 from repro.util.validation import check_positive_int
 
-__all__ = ["RingBuffer"]
+__all__ = ["RingBuffer", "read_ring", "write_ring"]
+
+
+def write_ring(buffers: np.ndarray, head: int, cols: np.ndarray) -> int:
+    """Push ``cols`` into the ring(s) ``buffers`` at ``head``, in order.
+
+    ``buffers`` is ``(..., capacity)`` and ``cols`` is ``(..., length)``
+    for any ``length``: the slots end exactly as ``length`` single pushes
+    would leave them.  Returns the new head.
+    """
+    capacity = buffers.shape[-1]
+    length = cols.shape[-1]
+    end = head + length
+    if length >= capacity:
+        # Only the newest `capacity` columns survive; column j of the
+        # batch lands in slot (head + j) % capacity.
+        buffers[...] = np.roll(cols[..., -capacity:], end % capacity, axis=-1)
+    elif end <= capacity:
+        buffers[..., head:end] = cols
+    else:
+        split = capacity - head
+        buffers[..., head:] = cols[..., :split]
+        buffers[..., : end - capacity] = cols[..., split:]
+    return end % capacity
+
+
+def read_ring(
+    buffers: np.ndarray,
+    head: int,
+    fill: int,
+    cols: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """The ring(s) ``buffers`` oldest first, followed by ``cols``.
+
+    ``fill`` slots hold data and ``head`` is the next write slot (equal
+    to ``fill`` until the ring is full), as :func:`write_ring` leaves
+    them.  Returns a new ``(..., fill + length)`` array, or writes into
+    ``out`` of that shape and returns it.
+    """
+    length = 0 if cols is None else cols.shape[-1]
+    if out is None:
+        out = np.empty(buffers.shape[:-1] + (fill + length,), dtype=buffers.dtype)
+    out[..., : fill - head] = buffers[..., head:fill]
+    out[..., fill - head : fill] = buffers[..., :head]
+    if length:
+        out[..., fill:] = cols
+    return out
 
 
 class RingBuffer:

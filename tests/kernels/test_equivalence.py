@@ -102,34 +102,50 @@ class TestEventKernel:
     )
     @given(data=st.data())
     def test_matches_numpy_reference(self, backend, data):
-        window = data.draw(st.integers(min_value=1, max_value=10), label="window")
-        top = data.draw(st.integers(min_value=1, max_value=window), label="top")
+        window = data.draw(st.integers(min_value=2, max_value=10), label="window")
+        top = data.draw(st.integers(min_value=1, max_value=window - 1), label="top")
         fill = data.draw(st.integers(min_value=0, max_value=window), label="fill")
-        head = data.draw(st.integers(min_value=0, max_value=window - 1), label="head")
-        streams = data.draw(st.integers(min_value=1, max_value=3), label="streams")
+        length = data.draw(st.integers(min_value=1, max_value=3 * window))
+        rows = data.draw(st.sampled_from([1, 2, 3, 40]), label="rows")
+        min_lag = data.draw(st.integers(min_value=1, max_value=window - 1))
+        reps = data.draw(st.integers(min_value=1, max_value=4), label="reps")
+        full = data.draw(st.booleans(), label="full")
         event = st.integers(min_value=0, max_value=3)
-        buffers = np.array(
+        ext = np.array(
             data.draw(
                 st.lists(
-                    st.lists(event, min_size=window, max_size=window),
-                    min_size=streams,
-                    max_size=streams,
+                    st.lists(event, min_size=fill + length, max_size=fill + length),
+                    min_size=rows,
+                    max_size=rows,
                 )
             ),
             dtype=np.int64,
         )
-        mismatches = np.zeros((streams, top + 1), dtype=np.int64)
-        column = np.array(
-            data.draw(st.lists(event, min_size=streams, max_size=streams)),
+        # Any starting counts, not only ones consistent with the ring:
+        # both bodies must agree on the arithmetic itself.
+        mismatches = np.array(
+            data.draw(
+                st.lists(
+                    st.lists(
+                        st.integers(min_value=-2, max_value=3),
+                        min_size=top + 1,
+                        max_size=top + 1,
+                    ),
+                    min_size=rows,
+                    max_size=rows,
+                )
+            ),
             dtype=np.int64,
         )
+        args = (fill, window, min_lag, reps, full)
         expected = mismatches.copy()
-        numpy_backend.event_step_mismatches(
-            buffers, expected, column, head, fill, window
-        )
+        expected_out = np.full((rows, length), -1, dtype=np.int64)
+        numpy_backend.event_advance_counts(ext, expected, expected_out, *args)
         got = mismatches.copy()
-        backend.event_step_mismatches(buffers, got, column, head, fill, window)
+        got_out = np.full((rows, length), -1, dtype=np.int64)
+        backend.event_advance_counts(ext, got, got_out, *args)
         np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(got_out, expected_out)
 
 
 class TestSelectionKernel:

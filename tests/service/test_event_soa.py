@@ -6,11 +6,15 @@ Acceptance criterion of the sharding PR: event-mode lockstep through
 periods, same profiles.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.core.events import EventDetectorConfig, EventPeriodicityDetector
 from repro.service.event_soa import EventSoABank
+from repro.service.pool import DetectorPool, PoolConfig
 from repro.traces.synthetic import repeat_pattern
 from repro.util.validation import ValidationError
 
@@ -20,10 +24,12 @@ def event_trace(period: int, length: int, base: int) -> np.ndarray:
 
 
 def reference_results(config, trace):
+    # The per-event path: its slice arithmetic shares no code with the
+    # chunk kernel the bank runs.
     det = EventPeriodicityDetector(config)
     starts = [
         (r.index, r.period, r.new_detection)
-        for r in det.process(trace)
+        for r in (det.update(int(v)) for v in trace)
         if r.is_period_start and r.period
     ]
     return starts, det
@@ -125,3 +131,59 @@ class TestEquivalence:
             for (_, _, confidence, _) in bank.step([value]):
                 confidences.add(confidence)
         assert confidences <= {1.0}
+
+
+class TestBoundedChunks:
+    def test_lockstep_fleet_scratch_stays_within_the_chunk_budget(self, monkeypatch):
+        """1000 streams x 1000 events through ``ingest_lockstep``: every
+        chunk's allocations (ring read, kernel, fundamentals) stay
+        within the shared budget (at 8 bytes per budget element), and
+        the events equal per-stream engines bit for bit."""
+        rng = np.random.default_rng(11)
+        streams, length = 1000, 1000
+        traces = {}
+        for i in range(streams):
+            period = int(rng.integers(2, 20))
+            trace = event_trace(period, length, base=100 * i)
+            noisy = rng.random(length) < 0.01
+            trace[noisy] = rng.integers(0, 10**6, size=int(noisy.sum()))
+            traces[f"s{i}"] = trace.astype(np.int64)
+
+        calls = []
+        real = EventSoABank._advance_counts
+
+        def traced(bank, cols):
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            fundamentals = real(bank, cols)
+            _, peak = tracemalloc.get_traced_memory()
+            calls.append(peak - before)
+            return fundamentals
+
+        monkeypatch.setattr(EventSoABank, "_advance_counts", traced)
+        pool = DetectorPool(PoolConfig(mode="event", window_size=64))
+        tracemalloc.start()
+        try:
+            events = pool.ingest_lockstep(traces)
+        finally:
+            tracemalloc.stop()
+        assert pool.stats().lockstep_backend == "soa"
+        assert len(calls) > 1  # the 1000 columns really ran in chunks
+        budget_bytes = 8 * kernels.CHUNK_BUDGET_ELEMENTS
+        assert max(calls) <= budget_bytes
+
+        monkeypatch.setattr(EventSoABank, "_advance_counts", real)
+        config = pool.config.resolved_config()
+        got: dict[str, list] = {sid: [] for sid in traces}
+        for event in events:
+            got[event.stream_id].append(
+                (event.index, event.period, event.confidence, event.new_detection)
+            )
+        for sid, trace in traces.items():
+            det = EventPeriodicityDetector(config)
+            expected = [
+                (r.index, r.period, r.confidence, r.new_detection)
+                for r in det.update_batch(trace)
+                if r.is_period_start and r.period
+            ]
+            assert got[sid] == expected, sid

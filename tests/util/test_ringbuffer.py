@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.util.ringbuffer import RingBuffer
+from repro.util.ringbuffer import RingBuffer, read_ring, write_ring
 from repro.util.validation import ValidationError
 
 
@@ -117,3 +119,39 @@ class TestRingBufferResizeAndClear:
         rb.resize(2)
         rb.push(9)
         assert rb.to_array().tolist() == [5.0, 9.0]
+
+
+class TestRingFunctions:
+    """``write_ring``/``read_ring``: the ring layout of the banks and the
+    event engine, checked against the list of everything pushed."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        capacity=st.integers(1, 9),
+        chunks=st.lists(st.integers(0, 20), max_size=8),
+        rows=st.integers(1, 3),
+    )
+    def test_chunks_match_the_pushed_suffix(self, capacity, chunks, rows):
+        buffers = np.zeros((rows, capacity), dtype=np.int64)
+        head = fill = 0
+        pushed = np.zeros((rows, 0), dtype=np.int64)
+        for length in chunks:
+            start = pushed.shape[1]
+            cols = np.arange(start, start + length) + 100 * np.arange(rows)[:, None]
+            ext = read_ring(buffers, head, fill, cols)
+            np.testing.assert_array_equal(ext, np.hstack((pushed[:, start - fill :], cols)))
+            out = np.full((rows, fill + length), -1, dtype=np.int64)
+            assert read_ring(buffers, head, fill, cols, out) is out
+            np.testing.assert_array_equal(out, ext)
+            head = write_ring(buffers, head, cols)
+            fill = min(capacity, fill + length)
+            pushed = np.hstack((pushed, cols))
+            assert head == pushed.shape[1] % capacity
+            np.testing.assert_array_equal(
+                read_ring(buffers, head, fill), pushed[:, pushed.shape[1] - fill :]
+            )
+
+    def test_one_dimensional_ring(self):
+        buffers = np.zeros(4, dtype=np.int64)
+        head = write_ring(buffers, 0, np.arange(6))
+        assert read_ring(buffers, head, 4, np.array([9])).tolist() == [2, 3, 4, 5, 9]
