@@ -412,7 +412,7 @@ def bench_loopback_server(
     :class:`~repro.server.server.DetectionServer` in a daemon thread and
     drives it with the blocking :class:`~repro.server.client.DetectionClient`
     — chunked ``ingest_many`` frames kept ``pipeline_window`` deep to
-    hide round trips, or one ``INGEST_LOCKSTEP`` matrix frame.
+    hide round trips, or one ``LOCKSTEP_HOT`` matrix frame.
 
     With ``tls=True`` the server terminates TLS (the committed localhost
     test certificate) and the client connects via ``repros://`` pinning
@@ -565,7 +565,7 @@ def bench_mixed_loopback(
 
     Each mode gets its own sharded pool behind its own loopback
     ``DetectionServer``; two driver threads push chunked
-    ``INGEST_LOCKSTEP`` frames concurrently, so both SoA banks are hot at
+    ``LOCKSTEP_HOT`` frames concurrently, so both SoA banks are hot at
     once and the measurement covers the full stack end-to-end: framing,
     the asyncio frontend, the executor bridge, the shard rings and — with
     ``pipeline_depth`` — the cross-call shard ingest pipelining (the

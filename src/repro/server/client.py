@@ -6,11 +6,11 @@ One protocol core under two transports (wire format:
 * :class:`_Session` — the sans-IO core; it touches no socket and no
   event loop.  Each operation is a generator that yields one request's
   encoded buffers, is sent the reply frame and returns the result.  It
-  owns the negotiated version, the interned handles, the choice between
-  hot and JSON frames, the per-stream seq log and gap splicing.
+  owns the HELLO check, the interned handles, the layout of the hot
+  ingest frames, the per-stream seq log and gap splicing.
 * :class:`DetectionClient` — the blocking transport, used by ``repro
   pool --connect``, the loopback benchmark and most tests.  Replies
-  come strictly in order; ``EVENT`` pushes that arrive meanwhile are
+  come strictly in order; event pushes that arrive meanwhile are
   buffered.  :meth:`DetectionClient.pipeline` keeps several ingest
   requests in flight (bounded by the server's ``max_inflight`` — beyond
   it the server answers ``BUSY``).
@@ -22,9 +22,14 @@ demultiplexing.  Both raise :class:`ServerBusy` on ``BUSY`` replies
 (the explicit backpressure signal — back off and retry) and
 :class:`ServerError` when the server reports a failed request.
 
-Against a v3 server (negotiated in HELLO) ingest and pushes travel as
-binary hot frames under per-connection int32 stream handles; ragged
-batches and dtypes without a wire code fall back to JSON frames.
+Both speak wire protocol 3 only: a server whose HELLO reply does not
+name protocol 3 or later is refused with :class:`ProtocolError`.
+Ingests and pushes travel as binary hot frames under per-connection
+int32 stream handles: batches of one length and dtype as the
+rectangular frame, ragged or mixed-dtype batches in the per-row form.
+A sample dtype without a wire code is widened where that is exact
+(``float16`` to ``float64``) and refused with ``ValueError`` otherwise,
+before a byte is sent.
 
 Both also *resume transparently*: every event carries the pool's
 per-stream monotonic ``seq``, and ``next_events`` tracks the last seq
@@ -92,8 +97,8 @@ _RETRYABLE_CONNECT_ERRORS = (
     ssl.SSLEOFError,
 )
 
-#: Frame types the server pushes outside any request.
-_PUSHES = (FrameType.EVENT, FrameType.EVENT_HOT)
+#: The frame type the server pushes outside any request.
+_PUSH = FrameType.EVENT_HOT
 
 
 def backoff_delay(
@@ -116,25 +121,30 @@ def _events_from_frame(frame: Frame) -> list[PeriodStartEvent]:
     return protocol.events_from_array(frame.arrays[0], ids)
 
 
-def _hot_matrix(arrays: Sequence[np.ndarray]) -> np.ndarray | None:
-    """Stack 1-D batches into a hot-frame matrix, or None for the JSON path.
+def _wire(samples: np.ndarray) -> np.ndarray:
+    """``samples`` in a dtype with a wire code: as they are, or widened
+    where that is exact; ``ValueError`` otherwise."""
+    if protocol.hot_dtype_code(samples.dtype) is not None:
+        return samples
+    if samples.dtype.kind == "f" and samples.dtype.itemsize == 2:
+        return samples.astype(np.float64)
+    raise ValueError(f"samples of dtype {samples.dtype} have no wire encoding")
 
-    Hot frames need equal-length rows of one wire-codeable dtype;
-    anything else (ragged batches, mixed or exotic dtypes, an empty
-    request) keeps the fully supported JSON frames.
-    """
+
+def _hot_rows(rows) -> np.ndarray | list[np.ndarray]:
+    """The rows of one hot ingest frame: a matrix (rectangular form) when
+    they share one length and dtype, else a list of 1-D arrays."""
+    if isinstance(rows, np.ndarray):
+        if rows.ndim != 2:
+            raise ValueError("ingest rows need a 2-D matrix, one row per stream id")
+        return _wire(rows)
+    arrays = [np.ascontiguousarray(np.asarray(row).ravel()) for row in rows]
     if not arrays:
-        return None
+        return np.empty((0, 0))
     first = arrays[0]
-    if protocol.hot_dtype_code(first.dtype) is None:
-        return None
-    length = first.shape[0]
-    for arr in arrays[1:]:
-        if arr.dtype != first.dtype or arr.shape[0] != length:
-            return None
-    if len(arrays) == 1:
-        return first.reshape(1, -1)
-    return np.stack(arrays)
+    if any(arr.dtype != first.dtype or arr.size != first.size for arr in arrays):
+        return [_wire(arr) for arr in arrays]
+    return _wire(first.reshape(1, -1) if len(arrays) == 1 else np.stack(arrays))
 
 
 def _check(frame: Frame) -> Frame:
@@ -193,15 +203,7 @@ class _Session:
         on_gap=None,
         auto_replay: bool = True,
         resume_seqs: Mapping[str, int] | None = None,
-        max_protocol: int = protocol.PROTOCOL_VERSION,
     ) -> None:
-        if not protocol.BASELINE_VERSION <= max_protocol <= protocol.PROTOCOL_VERSION:
-            raise ValueError(
-                f"max_protocol must be in [{protocol.BASELINE_VERSION}, "
-                f"{protocol.PROTOCOL_VERSION}], got {max_protocol}"
-            )
-        self.max_protocol = max_protocol
-        self.version = protocol.BASELINE_VERSION
         self.handles = _HandleRegistry()
         self.on_gap = on_gap
         self.auto_replay = bool(auto_replay)
@@ -210,12 +212,8 @@ class _Session:
         # consumer; seeded from resume_seqs on a reconnect.
         self.last_seq: dict[str, int] = dict(resume_seqs or {})
 
-    def encode(self, ftype: FrameType, meta=None, arrays: Iterable = ()) -> list:
-        """The buffers of one JSON-meta frame at the negotiated version."""
-        return protocol.encode_frame(ftype, meta, arrays, version=self.version)
-
     def events_of(self, frame: Frame) -> list[PeriodStartEvent]:
-        """Decode the events of a reply or push, JSON or binary."""
+        """Decode the events of a reply or push: binary, or a REPLAY's JSON."""
         if frame.type in (FrameType.EVENTS_HOT, FrameType.EVENT_HOT):
             return self.handles.decode_events(frame)
         return _events_from_frame(frame)
@@ -223,22 +221,24 @@ class _Session:
     # Operations; the client methods of the same name document them.
     def request(self, ftype: FrameType, meta=None, arrays: Iterable = ()):
         """One request; returns its reply, BUSY and ERROR raised."""
-        return _check((yield self.encode(ftype, meta, arrays)))
+        return _check((yield protocol.encode_frame(ftype, meta, arrays)))
 
     def hello(self, namespace: str | None, fresh: bool, token: str | None):
-        """The handshake: settles :attr:`version`, returns the server info."""
-        meta: dict = {"namespace": namespace, "fresh": bool(fresh)}
+        """The handshake; returns the server info."""
+        meta: dict = {
+            "namespace": namespace,
+            "fresh": bool(fresh),
+            "protocol": protocol.PROTOCOL_VERSION,
+        }
         if token is not None:
             meta["token"] = token
-        if self.max_protocol > protocol.BASELINE_VERSION:
-            # A v2 peer has no "protocol" key; omitting it at
-            # max_protocol=2 keeps the frozen-v2 handshake byte-identical.
-            meta["protocol"] = self.max_protocol
         reply = yield from self.request(FrameType.HELLO, meta)
-        offered = reply.meta.get("protocol", protocol.BASELINE_VERSION)
-        self.version = max(
-            protocol.BASELINE_VERSION, min(int(offered), self.max_protocol)
-        )
+        spoken = reply.meta.get("protocol")
+        if type(spoken) is not int or spoken < protocol.PROTOCOL_VERSION:
+            raise ProtocolError(
+                f"the server speaks wire protocol {spoken!r}; this client needs "
+                f"protocol {protocol.PROTOCOL_VERSION}"
+            )
         return reply.meta
 
     def register(self, ids: Sequence[str]):
@@ -251,45 +251,35 @@ class _Session:
                 self.handles.learn(sid, int(handle))
         return [known[sid] for sid in ids]
 
-    def ingest(self, ids, matrix, arrays=None, *, lockstep=False, register=True):
-        """One ingest request; returns its period-start events.
+    def ingest(self, ids, rows, *, lockstep=False):
+        """One ingest request (REGISTERing the ids not interned yet);
+        returns its operation, whose result is the period-start events.
 
-        On v3 a wire-codeable ``matrix`` (one row per id) goes as a hot
-        frame, else ``arrays`` (default: its rows, or all of it for
-        ``lockstep``) as JSON.  ``register=False``: no REGISTER, so ids
-        not interned yet take the JSON frame.
+        ``rows`` is a 2-D matrix with one row per id, or one batch per
+        id.  Rows of one length and dtype travel as the rectangular hot
+        frame, others in the per-row form; ``lockstep`` needs the
+        rectangular one.  The rows are checked here, so a ``ValueError``
+        comes before the operation has sent a byte.
         """
-        ids = list(ids)
-        if matrix is not None and (matrix.ndim != 2 or matrix.shape[0] != len(ids)):
-            raise ValueError("ingest_rows needs one matrix row per stream id")
-        if (
-            matrix is not None
-            and self.version >= 3
-            and protocol.hot_dtype_code(matrix.dtype) is not None
-            and (register or all(sid in self.handles.of_name for sid in ids))
-        ):
-            handles = yield from self.register(ids)
-            ftype = FrameType.LOCKSTEP_HOT if lockstep else FrameType.INGEST_HOT
-            reply = yield protocol.encode_hot_ingest(
-                ftype, handles, matrix, version=self.version
-            )
-        else:
-            if arrays is None:
-                arrays = [np.ascontiguousarray(matrix)] if lockstep else list(matrix)
-            ftype = FrameType.INGEST_LOCKSTEP if lockstep else FrameType.INGEST
-            reply = yield self.encode(ftype, {"streams": ids}, arrays)
+        ids, rows = list(ids), _hot_rows(rows)
+        if len(rows) != len(ids):
+            raise ValueError("ingest needs one sample row per stream id")
+        if lockstep and not isinstance(rows, np.ndarray):
+            raise ValueError("lockstep rows must share one length")
+        return self._ingest(ids, rows, lockstep)
+
+    def _ingest(self, ids, rows, lockstep):
+        handles = yield from self.register(ids)
+        ftype = FrameType.LOCKSTEP_HOT if lockstep else FrameType.INGEST_HOT
+        reply = yield protocol.encode_hot_ingest(ftype, handles, rows)
         return self.events_of(_check(reply))
 
-    def ingest_many(self, batches: Mapping, register: bool = True):
-        ids = list(batches)
-        arrays = [np.ascontiguousarray(np.asarray(batches[s]).ravel()) for s in ids]
-        matrix = _hot_matrix(arrays) if self.version >= 3 else None
-        return (yield from self.ingest(ids, matrix, arrays, register=register))
+    def ingest_many(self, batches: Mapping):
+        return self.ingest(list(batches), list(batches.values()))
 
     def ingest_lockstep(self, traces: Mapping):
-        ids = list(traces)
-        matrix = np.stack([np.asarray(traces[sid]).ravel() for sid in ids])
-        return (yield from self.ingest(ids, matrix, [matrix], lockstep=True))
+        matrix = np.stack([np.asarray(trace).ravel() for trace in traces.values()])
+        return self.ingest(list(traces), matrix, lockstep=True)
 
     def subscribe(self, scope: str):
         yield from self.request(FrameType.SUBSCRIBE, {"scope": scope})
@@ -303,7 +293,7 @@ class _Session:
         }
         if upto is not None:
             meta["upto"] = int(upto)
-        frame = yield self.encode(FrameType.REPLAY, meta)
+        frame = yield protocol.encode_frame(FrameType.REPLAY, meta)
         if frame.type == FrameType.EVENTS_GAP:
             return _events_from_frame(frame), int(frame.meta["first_available"])
         return _events_from_frame(_check(frame)), None
@@ -382,11 +372,6 @@ class _Transport:
     _session: _Session
 
     @property
-    def protocol_version(self) -> int:
-        """The negotiated wire protocol version of this connection."""
-        return self._session.version
-
-    @property
     def last_seqs(self) -> dict[str, int]:
         """Last delivered seq per stream — hand to ``resume_seqs`` on
         reconnect to recover everything missed while disconnected."""
@@ -454,12 +439,6 @@ class DetectionClient(_Transport):
         of each stream then reveals (and replays) everything missed
         while disconnected.  Without it a fresh client treats the first
         event it sees as the baseline.
-    max_protocol:
-        Highest wire protocol version to offer in HELLO; the connection
-        runs ``min(offered, server's)`` (see
-        :attr:`protocol_version`).  ``2`` freezes the client to the
-        JSON-only v2 wire format, byte-identical to an old client — the
-        compatibility tests use exactly that.
     """
 
     def __init__(
@@ -474,7 +453,6 @@ class DetectionClient(_Transport):
         on_gap=None,
         auto_replay: bool = True,
         resume_seqs: Mapping[str, int] | None = None,
-        max_protocol: int = protocol.PROTOCOL_VERSION,
         token: str | None = _UNSET,  # type: ignore[assignment]
         tls_ca: str | None = _UNSET,  # type: ignore[assignment]
         tls_insecure: bool = _UNSET,  # type: ignore[assignment]
@@ -486,7 +464,7 @@ class DetectionClient(_Transport):
             tls_insecure=tls_insecure,
             timeout=timeout,
         )
-        self._session = _Session(on_gap, auto_replay, resume_seqs, max_protocol)
+        self._session = _Session(on_gap, auto_replay, resume_seqs)
         last_error: Exception | None = None
         self._sock: socket.socket | None = None
         for attempt in range(connect_retries + 1):
@@ -551,8 +529,8 @@ class DetectionClient(_Transport):
         return frame
 
     def _read_reply(self) -> Frame:
-        """Next non-push frame; EVENT pushes are buffered on the side."""
-        while (frame := self._read_frame()).type in _PUSHES:
+        """Next non-push frame; event pushes are buffered on the side."""
+        while (frame := self._read_frame()).type == _PUSH:
             self._events.append(self._session.events_of(frame))
         return frame
 
@@ -624,17 +602,21 @@ class DetectionClient(_Transport):
                 if on_busy == "raise" and busy is None:
                     busy = exc
 
+        known = self._session.handles.of_name
         for batches in requests:
             if busy is not None:
                 break  # stop feeding a server that already said BUSY
-            if not in_flight and self._session.version >= 3:
-                # REGISTER is its own request/reply; only safe with
-                # nothing in flight (the reply FIFO must stay paired).
+            op = self._session.ingest_many(batches)
+            if any(sid not in known for sid in batches):
+                # REGISTER is its own request/reply, so it waits until
+                # nothing is in flight: the reply FIFO must stay paired.
                 # In the steady state every id is already interned and
-                # this round trip never happens; mid-flight, new ids
-                # take the JSON frame.
+                # the window never drains here.
+                while in_flight:
+                    collect_one()
+                if busy is not None:
+                    break
                 self._run(self._session.register(list(batches)))
-            op = self._session.ingest_many(batches, register=False)
             self._send(next(op))
             in_flight.append(op)
             while len(in_flight) >= window:
@@ -649,7 +631,7 @@ class DetectionClient(_Transport):
 
     # Subscriptions.
     def subscribe(self, scope: str = "own") -> None:
-        """Receive EVENT pushes for ``"own"`` streams or ``"all"`` streams."""
+        """Receive event pushes for ``"own"`` streams or ``"all"`` streams."""
         self._run(self._session.subscribe(scope))
 
     def replay(
@@ -712,7 +694,7 @@ class DetectionClient(_Transport):
                 if not readable:
                     return None
             frame = self._read_frame()
-            if frame.type not in _PUSHES:
+            if frame.type != _PUSH:
                 raise ProtocolError(
                     f"unexpected {frame.type.name} frame outside a request"
                 )
@@ -771,7 +753,7 @@ class AsyncDetectionClient(_Transport):
     """Asyncio client; create it with :meth:`connect`.
 
     A background reader task demultiplexes the socket: replies resolve
-    their request futures in FIFO order, EVENT pushes land on
+    their request futures in FIFO order, event pushes land on
     :attr:`events` (an ``asyncio.Queue`` of event-batch lists).
 
     Examples
@@ -792,12 +774,12 @@ class AsyncDetectionClient(_Transport):
         on_gap=None,
         auto_replay: bool = True,
         resume_seqs: Mapping[str, int] | None = None,
-        max_protocol: int = protocol.PROTOCOL_VERSION,
     ) -> None:
-        self._session = _Session(on_gap, auto_replay, resume_seqs, max_protocol)
+        self._session = _Session(on_gap, auto_replay, resume_seqs)
         self._reader = reader
         self._writer = writer
         self._pending: list[asyncio.Future] = []
+        self._order = asyncio.Lock()  # see _ingest
         self.events: asyncio.Queue = asyncio.Queue()
         self._closed = False
         self._saw_bye = False
@@ -820,7 +802,6 @@ class AsyncDetectionClient(_Transport):
         on_gap=None,
         auto_replay: bool = True,
         resume_seqs: Mapping[str, int] | None = None,
-        max_protocol: int = protocol.PROTOCOL_VERSION,
         token: str | None = _UNSET,  # type: ignore[assignment]
         tls_ca: str | None = _UNSET,  # type: ignore[assignment]
         tls_insecure: bool = _UNSET,  # type: ignore[assignment]
@@ -842,11 +823,7 @@ class AsyncDetectionClient(_Transport):
         resolved = resolve_endpoint(
             endpoint, token=token, tls_ca=tls_ca, tls_insecure=tls_insecure
         )
-        # Built first: its session refuses a bad max_protocol before any
-        # connection is opened.
-        client = cls(
-            None, None, namespace, fresh, on_gap, auto_replay, resume_seqs, max_protocol
-        )
+        client = cls(None, None, namespace, fresh, on_gap, auto_replay, resume_seqs)
         client.endpoint = resolved
         last_error: Exception | None = None
         for attempt in range(connect_retries + 1):
@@ -886,7 +863,7 @@ class AsyncDetectionClient(_Transport):
         try:
             while True:
                 frame = await protocol.read_frame_async(self._reader)
-                if frame.type in _PUSHES:
+                if frame.type == _PUSH:
                     self.events.put_nowait(self._session.events_of(frame))
                 elif frame.type == FrameType.BYE:
                     self._saw_bye = True
@@ -923,18 +900,22 @@ class AsyncDetectionClient(_Transport):
                 f"connection unusable: {self._conn_error}"
             ) from self._conn_error
 
-    async def _roundtrip(self, buffers: Sequence) -> Frame:
+    def _send(self, buffers: Sequence) -> asyncio.Future:
+        """Write one request; returns the future of its reply."""
         self._check_usable()
         future = asyncio.get_running_loop().create_future()
         self._pending.append(future)
         self._writer.writelines(buffers)
+        return future
+
+    async def _roundtrip(self, buffers: Sequence) -> Frame:
+        future = self._send(buffers)
         await self._writer.drain()
         return await future
 
     @staticmethod
-    async def _drive(op, step):
+    async def _drive(op, step, result=None):
         """:meth:`DetectionClient._drive`, awaiting each ``step``."""
-        result = None
         try:
             while True:
                 result = await step(op.send(result))
@@ -948,31 +929,49 @@ class AsyncDetectionClient(_Transport):
         """Feed one batch into one stream."""
         return await self.ingest_many({stream_id: samples})
 
+    async def _ingest(self, ids: list[str], op) -> list[PeriodStartEvent]:
+        """Run an ingest operation with its request sent in call order.
+
+        Concurrent ingests share the connection (the router forwards
+        many at once).  One whose ids need a REGISTER round trip first
+        holds the later ones back until its own request is out, so no
+        stream's samples overtake its earlier ones.
+        """
+        async with self._order:
+            await self._run(self._session.register(ids))
+            future = self._send(next(op))  # the ids are interned by now
+        await self._writer.drain()
+        return await self._drive(op, self._roundtrip, await future)
+
     async def ingest_many(self, batches: Mapping) -> list[PeriodStartEvent]:
         """Feed one batch per stream in one round trip."""
-        return await self._run(self._session.ingest_many(batches))
+        return await self._ingest(list(batches), self._session.ingest_many(batches))
 
     async def ingest_lockstep(self, traces: Mapping) -> list[PeriodStartEvent]:
         """Feed equally long traces into many streams as one matrix."""
-        return await self._run(self._session.ingest_lockstep(traces))
+        return await self._ingest(list(traces), self._session.ingest_lockstep(traces))
 
     async def ingest_rows(
-        self, ids: Sequence[str], matrix: np.ndarray, *, lockstep: bool = False
+        self,
+        ids: Sequence[str],
+        rows: np.ndarray | Sequence[np.ndarray],
+        *,
+        lockstep: bool = False,
     ) -> list[PeriodStartEvent]:
-        """Feed one pre-built matrix row per stream, without re-stacking.
+        """Feed one pre-built row per stream, without re-stacking.
 
         The router's forwarding fast path: it already holds a decoded
-        hot-frame sample matrix and the per-backend row slice *is* the
-        payload — re-splitting it into per-stream dicts only to have
-        ``ingest_many`` stack them again would add a copy and a Python
-        loop per stream.  Hot-codeable dtypes go out as binary hot
-        frames (handles re-interned against *this* connection); anything
-        else falls back to the JSON frames.
+        hot frame's rows — a matrix, or the per-row form's arrays — and
+        the per-backend slice *is* the payload; re-splitting it into
+        per-stream dicts only to have ``ingest_many`` stack them again
+        would add a copy and a Python loop per stream.  Handles are
+        re-interned against *this* connection.
         """
-        return await self._run(self._session.ingest(ids, matrix, lockstep=lockstep))
+        op = self._session.ingest(ids, rows, lockstep=lockstep)
+        return await self._ingest(list(ids), op)
 
     async def subscribe(self, scope: str = "own") -> None:
-        """Receive EVENT pushes on :attr:`events`."""
+        """Receive event pushes on :attr:`events`."""
         await self._run(self._session.subscribe(scope))
 
     async def replay(

@@ -6,15 +6,15 @@ links — and a frontend that carries it to remote peers.  The frontend is
 the same for both daemons, so it lives here once:
 
 * :class:`Connection`: namespace, subscription, in-flight and push
-  counters, negotiated version, handle table and one bounded FIFO outbox
-  for replies and pushes.
+  counters, handle table and one bounded FIFO outbox for replies and
+  pushes.
 * Accept and handshake.  The first frame must be a HELLO of at most
   :data:`HELLO_MAX_BYTES`, refused from its header before any payload is
   read, arriving within :data:`HANDSHAKE_TIMEOUT` seconds (STATS
   ``handshake`` counts both refusals).  Then the token check (STATS
-  ``auth``), namespace assignment and version negotiation.  A peer that
-  negotiated below v3 and sends a v3 frame (REGISTER, a hot ingest,
-  REMOVE) is answered ERROR and closed.
+  ``auth``), the protocol check — a HELLO that does not name wire
+  protocol 3 or later is answered ERROR and closed — and namespace
+  assignment.
 * REGISTER, and the request parsers both daemons use.
 * The writer loop: one scatter-gather write per wakeup, small frames
   coalescing into pooled scratch buffers; a failed request answers
@@ -75,15 +75,8 @@ HANDSHAKE_TIMEOUT = 10.0
 #: reading must not hold the shutdown).
 _BYE_TIMEOUT = 5.0
 
-#: Frames that exist only in protocol v3.
-_V3_FRAMES = frozenset(
-    (FrameType.REGISTER, FrameType.INGEST_HOT, FrameType.LOCKSTEP_HOT, FrameType.REMOVE)
-)
-_HOT_FRAMES = frozenset((FrameType.INGEST_HOT, FrameType.LOCKSTEP_HOT))
-#: Sample-carrying requests (:func:`ingest_request` parses them), and
-#: those among them that feed every named stream in lockstep.
-INGEST_FRAMES = _HOT_FRAMES | {FrameType.INGEST, FrameType.INGEST_LOCKSTEP}
-LOCKSTEP_FRAMES = frozenset((FrameType.INGEST_LOCKSTEP, FrameType.LOCKSTEP_HOT))
+#: Sample-carrying requests (:func:`ingest_request` parses them).
+INGEST_FRAMES = frozenset((FrameType.INGEST_HOT, FrameType.LOCKSTEP_HOT))
 
 _CLOSE = object()  # outbox sentinel: flush and stop the writer task
 
@@ -131,11 +124,6 @@ class FrontendConfig:
         Per-connection bound on undelivered subscriber event pushes;
         batches beyond it are dropped and counted, never buffered
         without bound (the journals make them recoverable via REPLAY).
-    max_protocol:
-        Highest wire protocol version negotiated in HELLO (capped at
-        :data:`protocol.PROTOCOL_VERSION`).  ``2`` freezes the daemon to
-        the JSON-only v2 wire format — the negotiation tests use it to
-        emulate an old daemon.
     tls_cert, tls_key:
         Serve TLS with this certificate chain + private key (``--tls-cert
         /--tls-key``).  Both unset (the default) keeps the listener
@@ -155,7 +143,6 @@ class FrontendConfig:
     port: int = 0
     max_inflight: int = 32
     push_queue: int = 256
-    max_protocol: int = protocol.PROTOCOL_VERSION
     tls_cert: str | None = None
     tls_key: str | None = None
     auth_token: str | None = None
@@ -165,12 +152,6 @@ class FrontendConfig:
     def __post_init__(self) -> None:
         check_positive_int(self.max_inflight, "max_inflight")
         check_positive_int(self.push_queue, "push_queue")
-        lowest, highest = protocol.BASELINE_VERSION, protocol.PROTOCOL_VERSION
-        if not lowest <= self.max_protocol <= highest:
-            raise ValidationError(
-                f"max_protocol must be in [{lowest}, {highest}], "
-                f"got {self.max_protocol}"
-            )
         if not 0 <= self.port <= 65535:
             raise ValidationError(f"port must be in [0, 65535], got {self.port}")
         if bool(self.tls_cert) != bool(self.tls_key):
@@ -201,10 +182,6 @@ class Connection:
         self.queued_pushes = 0
         self.dropped_events = 0
         self.dead = False
-        #: Negotiated wire protocol version; the v2 baseline until HELLO
-        #: says otherwise.  Every frame this connection emits is stamped
-        #: with it.
-        self.version = protocol.BASELINE_VERSION
         # The handle table: one intern space per connection, shared by
         # client registrations (REGISTER) and the daemon's push
         # announcements.  ``handle_ids[h]`` is the name exactly as the
@@ -272,22 +249,18 @@ class Connection:
         positions = {sid: pos for pos, sid in enumerate(ids)}
         table = protocol.events_to_array(events, positions)
         self.queued_pushes += 1
-        if self.version >= 3:
-            # EVENT_HOT: handles instead of repeated names, announcing
-            # each daemon-assigned handle exactly once (outbox FIFO
-            # guarantees the announce is decoded before any later frame
-            # relies on it).
-            handles = []
-            announce = []
-            for sid in ids:
-                handle = self.intern(sid)
-                if handle not in self.peer_known:
-                    self.peer_known.add(handle)
-                    announce.append((handle, sid))
-                handles.append(handle)
-            self.enqueue_reply(("push_hot", handles, announce, table))
-        else:
-            self.enqueue_reply(("push", FrameType.EVENT, {"streams": ids}, (table,)))
+        # EVENT_HOT: handles instead of repeated names, announcing each
+        # daemon-assigned handle exactly once (outbox FIFO guarantees the
+        # announce is decoded before any later frame relies on it).
+        handles = []
+        announce = []
+        for sid in ids:
+            handle = self.intern(sid)
+            if handle not in self.peer_known:
+                self.peer_known.add(handle)
+                announce.append((handle, sid))
+            handles.append(handle)
+        self.enqueue_reply(("push_hot", handles, announce, table))
 
     def abort(self) -> None:
         self.dead = True
@@ -308,50 +281,32 @@ def stream_list(frame: Frame) -> list[str]:
 
 
 def ingest_request(conn: Connection, frame: Frame):
-    """Validate an ingest request; returns ``(local_ids, matrix, arrays,
+    """Validate a hot ingest request; returns ``(local_ids, rows,
     handles)``.
 
-    Matrix frames (INGEST_LOCKSTEP and the hot frames) carry one row per
-    stream in ``matrix``; INGEST carries one array per stream in
-    ``arrays``.  ``handles`` are a hot frame's stream handles, ``None``
-    for the JSON frames.  Array payloads are zero-copy views into the
-    received frame.
+    ``rows`` holds one row of samples per handle: the frame's matrix
+    (rectangular form) or its list of 1-D arrays (per-row form), as
+    zero-copy views into the received frame.
     """
-    if frame.type in _HOT_FRAMES:
-        handles = list(frame.meta["handles"])
-        local_ids = conn.resolve_handles(handles)  # may raise UnknownHandle
-        if len(set(local_ids)) != len(local_ids):
-            raise ProtocolError("duplicate stream handles in one request")
-        return local_ids, frame.arrays[0], None, handles  # one row per handle
-    local_ids = stream_list(frame)
-    if frame.type == FrameType.INGEST_LOCKSTEP:
-        if len(frame.arrays) != 1 or frame.arrays[0].ndim != 2:
-            raise ProtocolError("INGEST_LOCKSTEP carries one 2-D matrix")
-        if frame.arrays[0].shape[0] != len(local_ids):
-            raise ProtocolError("lockstep matrix rows must match 'streams'")
-        return local_ids, frame.arrays[0], None, None
-    if len(frame.arrays) != len(local_ids):
-        raise ProtocolError(
-            f"INGEST carries {len(frame.arrays)} arrays for {len(local_ids)} streams"
-        )
-    return local_ids, None, list(frame.arrays), None
+    handles = list(frame.meta["handles"])
+    local_ids = conn.resolve_handles(handles)  # may raise UnknownHandle
+    if len(set(local_ids)) != len(local_ids):
+        raise ProtocolError("duplicate stream handles in one request")
+    rows = frame.arrays
+    if len(rows) == 1 and rows[0].ndim == 2:
+        rows = rows[0]
+    return local_ids, rows, handles
 
 
-def ingest_formatter(
-    conn: Connection, local_ids: list[str], handles: list[int] | None, named: str = ""
-):
-    """The reply formatter of an ingest request whose events name their
-    streams ``named + local id``: ``EVENTS_HOT`` (pre-encoded, by
-    handle) answers a hot request, ``EVENTS`` a JSON one."""
+def ingest_formatter(local_ids: list[str], handles: list[int], named: str = ""):
+    """The ``EVENTS_HOT`` reply formatter (pre-encoded, by handle) of an
+    ingest request whose events name their streams ``named + local
+    id``."""
     positions = {named + sid: pos for pos, sid in enumerate(local_ids)}
 
     def fmt(events: list[PeriodStartEvent]):
         table = protocol.events_to_array(events, positions)
-        if handles is None:
-            return FrameType.EVENTS, {"streams": local_ids}, (table,)
-        return "raw", protocol.encode_hot_events(
-            FrameType.EVENTS_HOT, handles, table, version=conn.version
-        )
+        return "raw", protocol.encode_hot_events(FrameType.EVENTS_HOT, handles, table)
 
     return fmt
 
@@ -527,8 +482,7 @@ class Frontend:
         stats: dict = {
             "protocol": {
                 "supported": protocol.PROTOCOL_VERSION,
-                "max": self.config.max_protocol,
-                "connection": conn.version,
+                "connection": protocol.PROTOCOL_VERSION,
             },
             "writer": {"batches": self.writer_batches, "frames": self.writer_frames},
             "handshake": {
@@ -604,11 +558,10 @@ class Frontend:
 
     async def _serve_frames(self, conn: Connection, reader) -> None:
         hello = await self._read_hello(reader)
-        # Authentication happens before *anything* the handshake does —
-        # the connection is not counted, no namespace exists, and in
-        # particular the daemon's `fresh` stream purge never runs for an
-        # unauthenticated peer.  HELLO is always a v2 frame, so v2 and
-        # v3 peers pass through the same gate.
+        # Authentication and the protocol check happen before *anything*
+        # the handshake does — the connection is not counted, no
+        # namespace exists, and in particular the daemon's `fresh` stream
+        # purge never runs for a refused peer.
         forced_namespace: str | None = None
         if self._auth is not None:
             try:
@@ -625,6 +578,14 @@ class Frontend:
                 )
                 return  # _handle_connection flushes the ERROR and closes
             self.auth_accepted += 1
+        spoken = hello.meta.get("protocol")
+        if type(spoken) is not int or spoken < protocol.PROTOCOL_VERSION:
+            message = (
+                f"wire protocol {spoken!r} is not supported; this daemon "
+                f"speaks protocol {protocol.PROTOCOL_VERSION}"
+            )
+            conn.enqueue_reply(("reply", FrameType.ERROR, {"message": message}, ()))
+            return  # _handle_connection flushes the ERROR and closes
         self._conn_counter += 1
         namespace = (
             forced_namespace
@@ -635,25 +596,11 @@ class Frontend:
             raise ProtocolError("namespace must be a non-empty string without '/'")
         conn.namespace = namespace
         conn.prefix = namespace + "/"
-        # Version negotiation: both sides name the highest protocol they
-        # speak, the connection runs the minimum.  A v2 peer sends no
-        # "protocol" key at all — absence means the v2 baseline.
-        requested = hello.meta.get("protocol", protocol.BASELINE_VERSION)
-        if not isinstance(requested, int) or requested < 1:
-            raise ProtocolError("'protocol' must be a positive integer")
-        conn.version = max(
-            protocol.BASELINE_VERSION,
-            min(requested, self.config.max_protocol, protocol.PROTOCOL_VERSION),
-        )
         self._hello(conn, bool(hello.meta.get("fresh")))
         while True:
             frame = await protocol.read_frame_async(reader)
-            kind = frame.type
-            if conn.version < 3 and kind in _V3_FRAMES:
-                # A correct peer never sends these after negotiating v2.
-                raise ProtocolError(f"unexpected frame type {kind.name}")
             try:
-                if kind == FrameType.REGISTER:
+                if frame.type == FrameType.REGISTER:
                     self._handle_register(conn, frame)
                 else:
                     self._handle_request(conn, frame)
@@ -692,10 +639,10 @@ class Frontend:
             if entry[0] == "push_hot":
                 _, handles, announce, table = entry
                 return protocol.encode_hot_events(
-                    FrameType.EVENT_HOT, handles, table, announce, version=conn.version
+                    FrameType.EVENT_HOT, handles, table, announce
                 )
             _, ftype, meta, arrays = entry
-            return protocol.encode_frame(ftype, meta, arrays, version=conn.version)
+            return protocol.encode_frame(ftype, meta, arrays)
         finally:
             self.profile["encode"] += time.perf_counter() - start
 
@@ -804,9 +751,7 @@ class Frontend:
                         continue
                 else:
                     resolved = entry
-                    if resolved[0] == "push_hot" or (
-                        resolved[0] == "push" and resolved[1] == FrameType.EVENT
-                    ):
+                    if resolved[0] == "push_hot":
                         conn.queued_pushes = max(0, conn.queued_pushes - 1)
                 if conn.dead:
                     continue

@@ -6,55 +6,74 @@ Every message is one *frame*::
     | magic  | version | type   | payload_len |   8-byte header, big-endian
     | 4 B    | u16     | u16    | u32         |
     +--------+---------+--------+-------------+
-    | meta_len u32 | meta (JSON, UTF-8)       |   payload (control frames)
-    | raw array 0 | raw array 1 | ...         |
+    | payload (layout per frame type)          |
     +------------------------------------------+
 
-The JSON ``meta`` dictionary carries the small, structured part of the
-message (stream names, options, error text) plus a ``__arrays__`` list
+Every frame is stamped :data:`PROTOCOL_VERSION`.  A reader parses any
+header up to that version, so an older peer's HELLO still decodes and
+is refused cleanly (see below); a header from a *newer* version raises
+:class:`ProtocolError` instead of being mis-parsed, mirroring the
+engine snapshot versioning in :mod:`repro.core.engine`.
+
+*Control frames* (HELLO, REGISTER, SUBSCRIBE, REPLAY, SNAPSHOT,
+RESTORE, REMOVE, STATS and the OK / ERROR / BUSY / EVENTS /
+EVENTS_GAP / BYE answers) carry a JSON payload::
+
+    | meta_len u32 | meta (JSON, UTF-8) | raw array 0 | raw array 1 | ...
+
+The ``meta`` dictionary holds the small, structured part of the message
+(stream names, options, error text) plus a ``__arrays__`` list
 describing the NumPy buffers that follow it back-to-back: dtype, shape
-and byte length per array.  Sample batches and event tables therefore
-travel as their raw bytes — :func:`encode_frame` returns the array's own
-(contiguous) memory as buffers for scatter-gather writes, and
-:func:`decode_payload` reconstructs zero-copy ``np.frombuffer`` views
-into the received payload — no pickling and no per-element conversion on
-either side.
+and byte length per array.  Arrays therefore travel as their raw bytes —
+:func:`encode_frame` returns the array's own (contiguous) memory as
+buffers for scatter-gather writes, and :func:`decode_payload`
+reconstructs zero-copy ``np.frombuffer`` views into the received
+payload — no pickling and no per-element conversion on either side.
 
-Protocol version 3 adds *hot frames* for the ingest/events fast path.
-Their payloads are binary struct-packed — no JSON on either side — and
-they carry compact int32 *stream handles* (interned per connection via
-the JSON ``REGISTER`` request) instead of repeated UTF-8 stream names:
+*Hot frames* carry all sample and event data.  Their payloads are
+binary struct-packed (little-endian, no JSON on either side) and name
+streams by compact int32 *handles*, interned per connection through
+``REGISTER``:
 
-``INGEST_HOT`` / ``LOCKSTEP_HOT``::
+``INGEST_HOT`` / ``LOCKSTEP_HOT``, rectangular form (rows of one length
+and one dtype)::
 
-    u32 nstreams | u8 dtype_code | u32 chunk_len        (little-endian)
+    u32 nstreams | u8 dtype_code | u32 chunk_len
     nstreams x i32 handles
     nstreams x chunk_len raw samples (row-major, one row per stream)
 
-``EVENTS_HOT`` / ``EVENT_HOT``::
+``INGEST_HOT``, per-row form (ragged lengths or mixed dtypes), marked by
+dtype code 0::
+
+    u32 nstreams | u8 0 | u32 0
+    nstreams x i32 handles
+    nstreams x (u8 dtype_code, u32 length)
+    the rows' raw samples, back-to-back
+
+``EVENTS_HOT`` (ingest reply) / ``EVENT_HOT`` (subscriber push)::
 
     u32 n_announce | n_announce x (i32 handle, u16 len, utf-8 name)
     u32 nstreams   | nstreams x i32 handles
     u32 nevents    | nevents x EVENT_WIRE_DTYPE rows
 
-The announce section lets a server teach a subscriber handle->name
-mappings it never registered itself.  Sample dtypes outside
-:data:`WIRE_DTYPE_CODES` (and ragged multi-stream batches) take the JSON
-frames, which remain fully valid inside a v3 conversation — v3 is a
-superset of v2, negotiated in HELLO (``{"protocol": <max supported>}``
-both ways, effective version = the minimum).
+The announce section teaches a subscriber handle->name mappings it
+never registered itself.  Sample dtypes travel under the codes of
+:data:`WIRE_DTYPE_CODES`; clients widen any other dtype only where that
+is exact and refuse the rest before sending.
 
-HELLO also carries the optional auth credential: a server configured
-with tokens requires ``meta["token"]`` and answers ``ERROR`` with
-``{"auth": "denied"}`` (then closes) when it is missing, unknown or
-expired — before any connection state is created, so a rejected peer
-never mutates the pool.  Because HELLO is always stamped at the v2
-baseline, authentication covers v2 and v3 peers identically.
+HELLO carries ``{"protocol": 3}`` both ways.  A daemon answers a HELLO
+whose ``protocol`` is missing, not an integer or below 3 with one
+``ERROR`` and closes, before any connection state exists.  HELLO also
+carries the optional auth credential: a daemon configured with tokens
+requires ``meta["token"]`` and answers ``ERROR`` with ``{"auth":
+"denied"}`` (then closes) when it is missing, unknown or expired.
 
-The header carries the connection's protocol version; a peer that
-receives a frame from a *newer* protocol version raises
-:class:`ProtocolError` instead of mis-parsing it, mirroring the engine
-snapshot versioning in :mod:`repro.core.engine`.
+Version history: 1 — initial format; 2 — per-stream monotonic ``seq``
+column in event tables, plus the REPLAY request and EVENTS_GAP reply
+for recovering dropped subscriber events from the server's bounded
+journal; 3 — REGISTER, stream handles and the hot frames, which replace
+version 2's JSON ``INGEST`` / ``INGEST_LOCKSTEP`` requests and ``EVENT``
+pushes (their frame type numbers 2, 3 and 20 stay unassigned).
 
 Detector snapshots are nested dictionaries holding NumPy arrays and
 integer-keyed maps, which JSON cannot express directly;
@@ -66,6 +85,7 @@ the wire, not pickles).
 from __future__ import annotations
 
 import json
+import math
 import socket
 import ssl
 import struct
@@ -78,7 +98,6 @@ import numpy as np
 from repro.service.events import PeriodStartEvent
 
 __all__ = [
-    "BASELINE_VERSION",
     "EVENT_DTYPE",
     "EVENT_WIRE_DTYPE",
     "Frame",
@@ -104,18 +123,8 @@ __all__ = [
     "write_frame",
 ]
 
-#: Version of the wire format.  History: version 1 — initial format;
-#: version 2 — per-stream monotonic ``seq`` column in event tables, plus
-#: the REPLAY request and EVENTS_GAP reply for recovering dropped
-#: subscriber events from the server's bounded journal; version 3 —
-#: negotiated hot frames (REGISTER + INGEST_HOT / LOCKSTEP_HOT /
-#: EVENTS_HOT / EVENT_HOT) with interned stream handles and binary
-#: struct-packed payloads on the ingest/events path.
+#: The one wire version spoken (history in the module docstring).
 PROTOCOL_VERSION = 3
-
-#: Highest version whose frames a peer may send before negotiation has
-#: happened (HELLO itself, and everything a v2 peer produces).
-BASELINE_VERSION = 2
 
 MAGIC = b"RDPD"
 
@@ -136,31 +145,32 @@ class FrameTooLarge(ProtocolError):
 
 
 class FrameType(IntEnum):
-    """Frame discriminator (requests < 16, replies/pushes >= 16)."""
+    """Frame discriminator (requests < 16, replies/pushes >= 16).
+
+    2, 3 and 20 stay unassigned: version 2 peers send and expect its
+    JSON ingests and push under them.
+    """
 
     # requests
     HELLO = 1
-    INGEST = 2
-    INGEST_LOCKSTEP = 3
     SUBSCRIBE = 4
     SNAPSHOT = 5
     RESTORE = 6
     STATS = 7
     REPLAY = 8  # re-deliver journaled events of one stream from a seq
-    REGISTER = 9  # v3: intern stream names -> per-connection handles
-    INGEST_HOT = 10  # v3: binary multi-stream ingest by handle
-    LOCKSTEP_HOT = 11  # v3: binary lockstep matrix by handle
-    REMOVE = 12  # v3: drop streams from the namespace (router migration)
+    REGISTER = 9  # intern stream names -> per-connection handles
+    INGEST_HOT = 10  # binary multi-stream ingest by handle
+    LOCKSTEP_HOT = 11  # binary lockstep matrix by handle
+    REMOVE = 12  # drop streams from the namespace (router migration)
     # replies and server pushes
     OK = 16
     ERROR = 17
     BUSY = 18
-    EVENTS = 19  # reply to INGEST / INGEST_LOCKSTEP / REPLAY
-    EVENT = 20  # asynchronous push to a subscriber
+    EVENTS = 19  # reply to REPLAY
     BYE = 21  # server is draining; no further requests will be served
     EVENTS_GAP = 22  # REPLAY reply: part of the range left the journal
-    EVENTS_HOT = 23  # v3: binary reply to INGEST_HOT / LOCKSTEP_HOT
-    EVENT_HOT = 24  # v3: binary asynchronous push to a subscriber
+    EVENTS_HOT = 23  # binary reply to INGEST_HOT / LOCKSTEP_HOT
+    EVENT_HOT = 24  # binary asynchronous push to a subscriber
 
 
 @dataclass
@@ -195,11 +205,17 @@ def _dtype_to_wire(dtype: np.dtype):
 def _dtype_from_wire(spec) -> np.dtype:
     if isinstance(spec, str):
         return np.dtype(spec)
+    if not isinstance(spec, list):
+        raise TypeError(f"bad dtype description {spec!r}")
     fields = []
     for entry in spec:
+        # (name, fmt) or (name, fmt, shape) — JSON turned the tuples
+        # (and a field's shape) into lists.
+        if not isinstance(entry, list) or len(entry) not in (2, 3):
+            raise ValueError(f"bad structured dtype field {entry!r}")
         if len(entry) == 2:
             fields.append((entry[0], entry[1]))
-        else:  # (name, fmt, shape) — JSON turned the shape into a list
+        else:
             fields.append((entry[0], entry[1], tuple(entry[2])))
     return np.dtype(fields)
 
@@ -211,17 +227,12 @@ def encode_frame(
     ftype: FrameType,
     meta: Mapping | None = None,
     arrays: Iterable[np.ndarray] = (),
-    *,
-    version: int = BASELINE_VERSION,
 ) -> list:
     """Serialise a JSON-meta frame into a list of write buffers.
 
     The first buffer holds header + meta; each subsequent buffer *is* the
     corresponding array's memory (made contiguous when necessary), so a
     scatter-gather write ships large batches without copying them.
-    ``version`` stamps the header with the connection's negotiated
-    protocol version (HELLO and un-negotiated traffic stay at the v2
-    baseline so old peers never reject them).
     """
     contiguous = [np.ascontiguousarray(arr) for arr in arrays]
     descriptors = [
@@ -244,7 +255,7 @@ def encode_frame(
             f"frame payload of {payload_len} bytes exceeds the protocol limit"
         )
     head = (
-        _HEADER.pack(MAGIC, version, int(ftype), payload_len)
+        _HEADER.pack(MAGIC, PROTOCOL_VERSION, int(ftype), payload_len)
         + _META_LEN.pack(len(meta_bytes))
         + meta_bytes
     )
@@ -277,8 +288,9 @@ def decode_header(header: bytes | bytearray) -> tuple[FrameType, int]:
 def decode_payload(ftype: FrameType, payload: bytes | bytearray | memoryview) -> Frame:
     """Decode a frame payload; array fields are zero-copy views into it.
 
-    Hot frame types (v3) decode through their binary layouts; everything
-    else takes the JSON-meta layout.
+    Hot frame types decode through their binary layouts; everything
+    else takes the JSON-meta layout.  Any malformed payload raises
+    :class:`ProtocolError`.
     """
     if ftype in _HOT_INGEST_TYPES:
         return _decode_hot_ingest(ftype, memoryview(payload))
@@ -293,8 +305,8 @@ def decode_payload(ftype: FrameType, payload: bytes | bytearray | memoryview) ->
         raise ProtocolError("truncated frame payload (missing meta)")
     try:
         meta = json.loads(bytes(view[offset : offset + meta_len]).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"undecodable frame meta: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ProtocolError(f"undecodable frame meta: {exc!r}") from exc
     if not isinstance(meta, dict):
         raise ProtocolError("frame meta must be a JSON object")
     offset += meta_len
@@ -303,30 +315,32 @@ def decode_payload(ftype: FrameType, payload: bytes | bytearray | memoryview) ->
     if not isinstance(descriptors, list):
         raise ProtocolError("__arrays__ must be a list of descriptors")
     for descriptor in descriptors:
+        # A malformed descriptor is a peer protocol violation, not a
+        # local bug: it must surface as ProtocolError so the server
+        # answers with an ERROR frame instead of a dropped connection.
         try:
             dtype = _dtype_from_wire(descriptor["dtype"])
             shape = tuple(descriptor["shape"])
-            nbytes = int(descriptor["nbytes"])
-        except (KeyError, TypeError, ValueError) as exc:
-            # A malformed descriptor is a peer protocol violation, not a
-            # local bug: it must surface as ProtocolError so the server
-            # answers with an ERROR frame instead of a dropped connection.
+            nbytes = descriptor["nbytes"]
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ProtocolError(f"bad array descriptor: {exc!r}") from exc
-        if dtype.hasobject:
-            raise ProtocolError("object dtypes cannot travel as raw buffers")
+        if not all(type(n) is int and n >= 0 for n in (*shape, nbytes)):
+            raise ProtocolError("array shape and nbytes must be non-negative integers")
+        if dtype.hasobject or not dtype.itemsize:
+            raise ProtocolError(f"dtype {dtype} cannot travel as raw buffers")
+        if math.prod(shape) * dtype.itemsize != nbytes:
+            raise ProtocolError("array descriptor does not match its byte length")
         if len(view) < offset + nbytes:
             raise ProtocolError("truncated frame payload (missing array bytes)")
-        if nbytes == 0:
-            try:
-                arrays.append(np.empty(shape, dtype=dtype))
-            except ValueError as exc:
-                raise ProtocolError(f"bad empty-array descriptor: {exc}") from exc
-            continue
-        count = nbytes // dtype.itemsize if dtype.itemsize else 0
-        arr = np.frombuffer(view, dtype=dtype, count=count, offset=offset)
         try:
+            if nbytes == 0:
+                arrays.append(np.empty(shape, dtype=dtype))
+                continue
+            arr = np.frombuffer(
+                view, dtype=dtype, count=nbytes // dtype.itemsize, offset=offset
+            )
             arrays.append(arr.reshape(shape))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ProtocolError(
                 f"array descriptor does not match its bytes: {exc}"
             ) from exc
@@ -337,12 +351,11 @@ def decode_payload(ftype: FrameType, payload: bytes | bytearray | memoryview) ->
 
 
 # ----------------------------------------------------------------------
-# hot frames (v3): binary payloads, interned stream handles
+# hot frames: binary payloads, interned stream handles
 # ----------------------------------------------------------------------
 #: Sample dtypes that may travel in a hot ingest frame, keyed by their
-#: explicit little-endian ``str``.  Anything else (object arrays, exotic
-#: widths, structured dtypes) falls back to the JSON INGEST frames,
-#: which stay valid inside a v3 conversation.
+#: explicit little-endian ``str``.  Code 0 is not a dtype: it marks the
+#: per-row form of INGEST_HOT.
 WIRE_DTYPE_CODES: dict[str, int] = {
     "<f8": 1,
     "<f4": 2,
@@ -357,6 +370,7 @@ WIRE_DTYPE_CODES: dict[str, int] = {
     "|b1": 11,
 }
 _CODE_TO_DTYPE = {code: np.dtype(spec) for spec, code in WIRE_DTYPE_CODES.items()}
+_PER_ROW = 0
 
 _HOT_INGEST_TYPES = frozenset((FrameType.INGEST_HOT, FrameType.LOCKSTEP_HOT))
 _HOT_EVENT_TYPES = frozenset((FrameType.EVENTS_HOT, FrameType.EVENT_HOT))
@@ -364,6 +378,9 @@ _HOT_EVENT_TYPES = frozenset((FrameType.EVENTS_HOT, FrameType.EVENT_HOT))
 _HOT_INGEST_HEAD = struct.Struct("<IBI")  # nstreams, dtype code, chunk length
 _U32 = struct.Struct("<I")
 _ANNOUNCE_HEAD = struct.Struct("<iH")  # handle, utf-8 name length
+
+#: One entry of the per-row form's row table (5 packed bytes).
+_ROW_ENTRY = np.dtype([("code", "|u1"), ("length", "<u4")])
 
 #: Explicit little-endian twin of :data:`EVENT_DTYPE` — the on-the-wire
 #: row layout of hot event tables (37 packed bytes per event).  On
@@ -381,7 +398,7 @@ EVENT_WIRE_DTYPE = np.dtype(
 
 
 def hot_dtype_code(dtype) -> int | None:
-    """Wire code of a sample dtype, or None when it needs the JSON path."""
+    """Wire code of a sample dtype, or None when it has none."""
     try:
         spec = np.dtype(dtype)
     except TypeError:
@@ -391,53 +408,76 @@ def hot_dtype_code(dtype) -> int | None:
     return WIRE_DTYPE_CODES.get(spec.newbyteorder("<").str)
 
 
+def _wire_code(dtype: np.dtype) -> tuple[int, np.dtype]:
+    """``(code, little-endian dtype)`` of a sample dtype."""
+    code = hot_dtype_code(dtype)
+    if code is None:
+        raise ProtocolError(f"dtype {dtype.str} has no hot wire code")
+    return code, _CODE_TO_DTYPE[code]
+
+
 def encode_hot_ingest(
     ftype: FrameType,
     handles: Sequence[int] | np.ndarray,
-    matrix: np.ndarray,
-    *,
-    version: int = PROTOCOL_VERSION,
+    rows: np.ndarray | Sequence[np.ndarray],
 ) -> list:
     """Serialise a hot ingest frame: one row of samples per handle.
 
-    ``matrix`` must be 2-D with one row per handle; use
-    :func:`hot_dtype_code` first to check the dtype is representable.
+    ``rows`` is a 2-D matrix (the rectangular form) or a sequence of
+    1-D arrays (the per-row form, INGEST_HOT only), in dtypes that have
+    a wire code (see :func:`hot_dtype_code`).
     """
-    if matrix.ndim != 2:
-        raise ProtocolError("hot ingest frames need a 2-D sample matrix")
-    wire_dtype = matrix.dtype.newbyteorder("<")
-    code = WIRE_DTYPE_CODES.get(wire_dtype.str)
-    if code is None:
-        raise ProtocolError(
-            f"dtype {matrix.dtype.str} has no hot wire code; use the JSON frames"
-        )
-    wire = np.ascontiguousarray(matrix.astype(wire_dtype, copy=False))
     handle_arr = np.ascontiguousarray(np.asarray(handles, dtype="<i4"))
-    nstreams, chunk = wire.shape
+    if isinstance(rows, np.ndarray):
+        if rows.ndim != 2:
+            raise ProtocolError("hot ingest frames need a 2-D sample matrix")
+        code, wire_dtype = _wire_code(rows.dtype)
+        wire = np.ascontiguousarray(rows.astype(wire_dtype, copy=False))
+        nstreams, chunk = wire.shape
+        body = [wire]
+    else:
+        if ftype != FrameType.INGEST_HOT:
+            raise ProtocolError(f"{ftype.name} rows must share one length and dtype")
+        nstreams, code, chunk = len(rows), _PER_ROW, 0
+        table = np.empty(nstreams, dtype=_ROW_ENTRY)
+        body = [table]
+        codes = []
+        for row in rows:
+            if row.ndim != 1:
+                raise ProtocolError("per-row hot ingest rows must be 1-D")
+            row_code, wire_dtype = _wire_code(row.dtype)
+            codes.append(row_code)
+            body.append(np.ascontiguousarray(row.astype(wire_dtype, copy=False)))
+        table["code"] = codes
+        table["length"] = [row.size for row in body[1:]]
     if handle_arr.size != nstreams:
         raise ProtocolError("one handle per sample row required")
-    payload_len = _HOT_INGEST_HEAD.size + handle_arr.nbytes + wire.nbytes
+    payload_len = (
+        _HOT_INGEST_HEAD.size + handle_arr.nbytes + sum(arr.nbytes for arr in body)
+    )
     if payload_len > MAX_PAYLOAD_BYTES:
         raise ProtocolError(
             f"frame payload of {payload_len} bytes exceeds the protocol limit"
         )
-    head = _HEADER.pack(MAGIC, version, int(ftype), payload_len) + _HOT_INGEST_HEAD.pack(
-        nstreams, code, chunk
-    )
+    head = _HEADER.pack(MAGIC, PROTOCOL_VERSION, int(ftype), payload_len)
+    head += _HOT_INGEST_HEAD.pack(nstreams, code, chunk)
     buffers: list = [head, memoryview(handle_arr).cast("B")]
-    if wire.nbytes:
-        buffers.append(memoryview(wire).cast("B"))
+    buffers.extend(memoryview(arr).cast("B") for arr in body if arr.nbytes)
     return buffers
 
 
 def _decode_hot_ingest(ftype: FrameType, view: memoryview) -> Frame:
+    """Rectangular form: ``arrays`` is the one sample matrix; per-row
+    form: one 1-D array per handle."""
     if len(view) < _HOT_INGEST_HEAD.size:
         raise ProtocolError("truncated hot ingest frame (missing header)")
     nstreams, code, chunk = _HOT_INGEST_HEAD.unpack_from(view, 0)
+    offset = _HOT_INGEST_HEAD.size
+    if code == _PER_ROW:
+        return _decode_per_row(ftype, view, nstreams, chunk)
     dtype = _CODE_TO_DTYPE.get(code)
     if dtype is None:
         raise ProtocolError(f"unknown sample dtype code {code}")
-    offset = _HOT_INGEST_HEAD.size
     expected = offset + nstreams * 4 + nstreams * chunk * dtype.itemsize
     if len(view) != expected:
         raise ProtocolError(
@@ -451,13 +491,38 @@ def _decode_hot_ingest(ftype: FrameType, view: memoryview) -> Frame:
     return Frame(type=ftype, meta={"handles": handles}, arrays=(matrix,))
 
 
+def _decode_per_row(
+    ftype: FrameType, view: memoryview, nstreams: int, chunk: int
+) -> Frame:
+    if ftype != FrameType.INGEST_HOT or chunk:
+        raise ProtocolError(f"malformed per-row {ftype.name} frame")
+    head = _HOT_INGEST_HEAD.size
+    table_at = head + nstreams * 4
+    offset = table_at + nstreams * _ROW_ENTRY.itemsize  # the first row
+    if len(view) < offset:
+        raise ProtocolError("truncated hot ingest frame (per-row table)")
+    handles = np.frombuffer(view, dtype="<i4", count=nstreams, offset=head).tolist()
+    table = np.frombuffer(view, dtype=_ROW_ENTRY, count=nstreams, offset=table_at)
+    rows = []
+    for code, length in zip(table["code"].tolist(), table["length"].tolist()):
+        dtype = _CODE_TO_DTYPE.get(code)
+        if dtype is None:
+            raise ProtocolError(f"unknown sample dtype code {code}")
+        end = offset + length * dtype.itemsize
+        if end > len(view):
+            raise ProtocolError("truncated hot ingest frame (row samples)")
+        rows.append(np.frombuffer(view, dtype=dtype, count=length, offset=offset))
+        offset = end
+    if offset != len(view):
+        raise ProtocolError(f"{len(view) - offset} trailing bytes after the last row")
+    return Frame(type=ftype, meta={"handles": handles}, arrays=tuple(rows))
+
+
 def encode_hot_events(
     ftype: FrameType,
     handles: Sequence[int] | np.ndarray,
     table: np.ndarray,
     announce: Sequence[tuple[int, str]] = (),
-    *,
-    version: int = PROTOCOL_VERSION,
 ) -> list:
     """Serialise a hot event frame (EVENTS_HOT reply or EVENT_HOT push).
 
@@ -481,8 +546,8 @@ def encode_hot_events(
         raise ProtocolError(
             f"frame payload of {payload_len} bytes exceeds the protocol limit"
         )
-    head = _HEADER.pack(MAGIC, version, int(ftype), payload_len) + bytes(prefix)
-    buffers: list = [head]
+    head = _HEADER.pack(MAGIC, PROTOCOL_VERSION, int(ftype), payload_len)
+    buffers: list = [head + bytes(prefix)]
     if handle_arr.nbytes:
         buffers.append(memoryview(handle_arr).cast("B"))
     buffers.append(count)
@@ -609,11 +674,9 @@ def send_buffers(sock: socket.socket, buffers: Sequence) -> None:
 def write_frame(
     sock: socket.socket, ftype: FrameType, meta: Mapping | None = None,
     arrays: Iterable[np.ndarray] = (),
-    *,
-    version: int = BASELINE_VERSION,
 ) -> None:
     """Write one frame to a blocking socket (large arrays are not copied)."""
-    send_buffers(sock, encode_frame(ftype, meta, arrays, version=version))
+    send_buffers(sock, encode_frame(ftype, meta, arrays))
 
 
 # ----------------------------------------------------------------------
@@ -637,8 +700,9 @@ async def read_frame_async(reader, max_payload: int = MAX_PAYLOAD_BYTES) -> Fram
 # ----------------------------------------------------------------------
 # event tables
 # ----------------------------------------------------------------------
-#: Compact on-the-wire representation of a batch of period-start events;
-#: ``stream`` indexes the frame's ``streams`` meta list.
+#: Compact representation of a batch of period-start events; ``stream``
+#: indexes a stream list (a REPLAY reply's ``streams`` meta, a hot
+#: frame's handles).
 EVENT_DTYPE = np.dtype(
     [
         ("stream", np.int32),

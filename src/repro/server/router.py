@@ -16,11 +16,12 @@ a ring of links to the backend daemons:
   stable crc32 that backs ``shard_of``), so a node join/leave moves
   ~1/N of the streams instead of re-homing everything.
 * **Hot-path forwarding, zero JSON** — an incoming ``INGEST_HOT`` /
-  ``LOCKSTEP_HOT`` frame is decoded once (a zero-copy view), its sample
-  matrix is sliced *row-wise* per owning backend, and each slice is
-  re-emitted as a binary hot frame with handles re-interned against the
-  backend connection.  The payload bytes are never re-encoded through
-  JSON; backends are driven concurrently, never serialised.
+  ``LOCKSTEP_HOT`` frame is decoded once (zero-copy views), its sample
+  rows — a matrix, or the per-row form's arrays — are split *row-wise*
+  per owning backend, and each slice is re-emitted as a binary hot
+  frame with handles re-interned against the backend connection.
+  Backends are driven concurrently, never serialised; on each backend
+  link, requests go out in arrival order.
 * **Seq-coherent fan-in** — every stream lives on exactly one backend
   at a time and its per-stream ``seq`` travels with its snapshot, so
   the per-backend event feeds are already globally coherent per stream:
@@ -82,7 +83,6 @@ from repro.server.client import (
 from repro.server.endpoint import Endpoint
 from repro.server.frontend import (
     INGEST_FRAMES,
-    LOCKSTEP_FRAMES,
     Connection,
     Frontend,
     FrontendConfig,
@@ -136,8 +136,8 @@ def _backend_name(address: str) -> str:
 class RouterConfig(FrontendConfig):
     """Configuration of :class:`DetectionRouter`.
 
-    The listen address, per-connection bounds, ``max_protocol``, TLS
-    and token auth are the :class:`~repro.server.frontend.
+    The listen address, per-connection bounds, TLS and token auth are
+    the :class:`~repro.server.frontend.
     FrontendConfig` fields, applied to upstream clients (each backend
     additionally applies its own ``max_inflight``); the router adds:
 
@@ -241,7 +241,6 @@ class DetectionRouter(Frontend):
         # the frontend's upstream encode and syscall), surfaced by STATS
         # for the bench's --profile breakdown.
         self.hot_forwards = 0
-        self.json_forwards = 0
         self.fanin_batches = 0
         self.replays_served = 0
         self.migrations = 0
@@ -331,7 +330,6 @@ class DetectionRouter(Frontend):
                             endpoint,
                             namespace=conn.namespace,
                             fresh=fresh,
-                            max_protocol=self.config.max_protocol,
                         )
                         break
                     except (ConnectionError, OSError):
@@ -651,7 +649,7 @@ class DetectionRouter(Frontend):
                 FrameType.OK,
                 {
                     "namespace": conn.namespace,
-                    "protocol": conn.version,
+                    "protocol": protocol.PROTOCOL_VERSION,
                     "mode": info.get("mode"),
                     "window_size": info.get("window_size"),
                     "removed_streams": removed,
@@ -732,23 +730,16 @@ class DetectionRouter(Frontend):
     def _handle_ingest(self, conn: _RouterConn, frame: Frame) -> None:
         if not self._admit_ingest(conn):
             return
-        local_ids, matrix, arrays, handles = ingest_request(conn, frame)
-        # Decoded payloads are zero-copy views into the network buffer;
-        # own the bytes before handing rows to concurrent forward tasks.
-        if matrix is not None:
-            matrix = np.ascontiguousarray(matrix)
-        else:
-            arrays = [np.array(arr, copy=True) for arr in arrays]
-        if handles is None:
-            self.json_forwards += 1
-        else:
-            self.hot_forwards += 1
-        lockstep = frame.type in LOCKSTEP_FRAMES
+        # The rows are zero-copy views into the frame's immutable
+        # payload bytes, which they keep alive for the forward tasks.
+        local_ids, rows, handles = ingest_request(conn, frame)
+        self.hot_forwards += 1
+        lockstep = frame.type == FrameType.LOCKSTEP_HOT
         conn.inflight += 1
         task = self._spawn_reply(
             conn,
-            self._forward_ingest(conn, local_ids, matrix, arrays, lockstep),
-            ingest_formatter(conn, local_ids, handles),
+            self._forward_ingest(conn, local_ids, rows, lockstep),
+            ingest_formatter(local_ids, handles),
         )
         task.add_done_callback(lambda _t: setattr(conn, "inflight", conn.inflight - 1))
 
@@ -756,15 +747,13 @@ class DetectionRouter(Frontend):
         self,
         conn: _RouterConn,
         local_ids: list[str],
-        matrix: np.ndarray | None,
-        arrays: list[np.ndarray] | None,
+        rows: np.ndarray | list[np.ndarray],
         lockstep: bool,
     ) -> list[PeriodStartEvent]:
         """Split one ingest across owning backends and fuse the replies.
 
-        Matrix requests slice row-wise per backend and re-emit binary
-        hot frames downstream (zero JSON end to end); ragged JSON
-        ingests forward per-stream arrays.  Backends run concurrently.
+        The rows split per backend and go downstream as binary hot
+        frames (zero JSON end to end).  Backends run concurrently.
         """
         await self._acquire_forward()
         try:
@@ -776,24 +765,22 @@ class DetectionRouter(Frontend):
                 groups.setdefault(owner, []).append(row)
                 self._placement[full] = owner
             parts: list[tuple[str, list[str], np.ndarray | list[np.ndarray]]] = []
-            for backend, rows in groups.items():
-                ids = [local_ids[r] for r in rows]
-                if matrix is not None:
-                    # One backend owns everything: the frame's own matrix
-                    # is the forward payload, no slice needed.
-                    sub = matrix if len(groups) == 1 else matrix[rows]
-                    parts.append((backend, ids, sub))
+            for backend, owned in groups.items():
+                ids = [local_ids[r] for r in owned]
+                if len(groups) == 1:
+                    # One backend owns everything: the frame's own rows
+                    # are the forward payload, no slice needed.
+                    parts.append((backend, ids, rows))
+                elif isinstance(rows, np.ndarray):
+                    parts.append((backend, ids, rows[owned]))
                 else:
-                    parts.append((backend, ids, [arrays[r] for r in rows]))
+                    parts.append((backend, ids, [rows[r] for r in owned]))
             self.profile["slice"] += time.perf_counter() - start
 
             async def one(backend: str, ids: list[str], payload):
-                if matrix is not None:
-                    async def op(client: AsyncDetectionClient):
-                        return await client.ingest_rows(ids, payload, lockstep=lockstep)
-                else:
-                    async def op(client: AsyncDetectionClient):
-                        return await client.ingest_many(dict(zip(ids, payload)))
+                async def op(client: AsyncDetectionClient):
+                    return await client.ingest_rows(ids, payload, lockstep=lockstep)
+
                 return await self._on_link(conn, backend, op)
 
             start = time.perf_counter()
@@ -943,7 +930,6 @@ class DetectionRouter(Frontend):
                     "busy_replies": self.busy_replies,
                     "dropped_events": self.dropped_events,
                     "hot_forwards": self.hot_forwards,
-                    "json_forwards": self.json_forwards,
                     "fanin_batches": self.fanin_batches,
                     "replays_served": self.replays_served,
                     "migrations": self.migrations,

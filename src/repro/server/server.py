@@ -2,7 +2,7 @@
 
 One :class:`DetectionServer` exposes a (possibly sharded) detector pool
 over TCP.  Accepting peers, the HELLO handshake (size and time bounds,
-token auth, namespaces, version negotiation), REGISTER, the per-
+token auth, the protocol check, namespaces), REGISTER, the per-
 connection outbox and its writer loop are the shared daemon frontend
 (:mod:`repro.server.frontend`); this module is the backend behind it.
 The design constraints, and how they are met:
@@ -47,14 +47,13 @@ work, runs every already-queued job to completion, flushes every
 connection's outbound queue, then says ``BYE`` and closes — no accepted
 sample batch is silently discarded.
 
-**The wire hot path is negotiated.**  Protocol v3 peers intern stream
-names into per-connection int32 handles (``REGISTER``) and exchange
-binary hot frames (``INGEST_HOT``/``LOCKSTEP_HOT`` requests,
-``EVENTS_HOT`` replies, ``EVENT_HOT`` pushes) with no JSON on the
-ingest/events path; v2 JSON frames stay fully served, byte-compatibly,
-on the same port.  A hot frame naming a handle the connection never
-registered answers ``ERROR`` and keeps the connection alive
-(:class:`UnknownHandleError`) — only malformed frames disconnect.
+**The data path is binary.**  Peers intern stream names into
+per-connection int32 handles (``REGISTER``) and exchange binary hot
+frames (``INGEST_HOT``/``LOCKSTEP_HOT`` requests, ``EVENTS_HOT``
+replies, ``EVENT_HOT`` pushes) with no JSON on the ingest/events path.
+A hot frame naming a handle the connection never registered answers
+``ERROR`` and keeps the connection alive (:class:`UnknownHandleError`)
+— only malformed frames disconnect.
 
 :class:`ServerThread` runs a server on a private event loop in a
 daemon thread, which is how the blocking client's tests, the benchmark
@@ -75,7 +74,6 @@ import numpy as np
 from repro.server import protocol
 from repro.server.frontend import (
     INGEST_FRAMES,
-    LOCKSTEP_FRAMES,
     Connection,
     Frontend,
     FrontendConfig,
@@ -266,8 +264,8 @@ class EventJournal:
 class ServerConfig(FrontendConfig):
     """Configuration of :class:`DetectionServer`.
 
-    The listen address, per-connection bounds, ``max_protocol``, TLS
-    and token auth are the :class:`~repro.server.frontend.
+    The listen address, per-connection bounds, TLS and token auth are
+    the :class:`~repro.server.frontend.
     FrontendConfig` fields; the server adds:
 
     Attributes
@@ -893,7 +891,7 @@ class DetectionServer(Frontend):
         pool_cfg = self.facade.pool.config
         return {
             "namespace": conn.namespace,
-            "protocol": conn.version,
+            "protocol": protocol.PROTOCOL_VERSION,
             "mode": pool_cfg.mode,
             # The *resolved* window: a detector_config/event_config
             # override supersedes PoolConfig.window_size.
@@ -945,18 +943,11 @@ class DetectionServer(Frontend):
             raise ProtocolError(f"unexpected frame type {kind.name}")
 
     def _handle_ingest(self, conn: Connection, frame: Frame) -> None:
-        """Queue an ingest request: JSON by name, or hot (binary, by handle)."""
-        local_ids, matrix, arrays, handles = ingest_request(conn, frame)
-        if matrix is None:
-            batches = {
-                conn.prefix + sid: arr.ravel() for sid, arr in zip(local_ids, arrays)
-            }
-        else:
-            batches = {
-                conn.prefix + sid: matrix[row] for row, sid in enumerate(local_ids)
-            }
-        job_kind = "lockstep" if frame.type in LOCKSTEP_FRAMES else "ingest"
-        formatter = ingest_formatter(conn, local_ids, handles, conn.prefix)
+        """Queue a hot ingest request (binary, by handle)."""
+        local_ids, rows, handles = ingest_request(conn, frame)
+        batches = {conn.prefix + sid: rows[row] for row, sid in enumerate(local_ids)}
+        job_kind = "lockstep" if frame.type == FrameType.LOCKSTEP_HOT else "ingest"
+        formatter = ingest_formatter(local_ids, handles, conn.prefix)
         self._queue_ingest_job(conn, job_kind, batches, formatter)
 
     def _queue_ingest_job(

@@ -1,4 +1,4 @@
-"""HELLO token authentication: server, router, v2/v3 peers, TLS.
+"""HELLO token authentication: server, router, old peers, TLS.
 
 The contract under test: a missing/unknown/expired token answers ERROR
 and closes *before any pool mutation* (a rejected ``fresh`` handshake
@@ -11,14 +11,17 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 
 import pytest
 
 import repro.server.auth as auth_module
 from _server_helpers import TLS_CERT, TLS_KEY, event_config
+from repro.server import protocol
 from repro.server.auth import AuthError, TokenAuthenticator
 from repro.server.client import AsyncDetectionClient, DetectionClient, ServerError
 from repro.server.endpoint import Endpoint
+from repro.server.protocol import FrameType
 from repro.server.router import RouterConfig, RouterThread
 from repro.server.server import ServerConfig
 
@@ -167,14 +170,24 @@ class TestServerAuth:
         with _client(host, port, token="free-token", namespace="mine") as client:
             assert client.namespace == "mine"
 
-    def test_v2_peer_authenticates_identically(self, loopback):
+    def test_old_peer_meets_the_token_check_first(self, loopback):
+        """A version-2 HELLO (no ``protocol`` key) is denied for a bad
+        token and refused for its protocol with a good one."""
         thread, host, port = loopback(
             server_config=ServerConfig(auth_token="s3cret")
         )
-        with pytest.raises(ServerError, match="authentication failed"):
-            _client(host, port, max_protocol=2, token="wrong")
-        with _client(host, port, max_protocol=2, token="s3cret") as client:
-            assert client.protocol_version == 2
+        answers = []
+        for token in ("wrong", "s3cret"):
+            with socket.create_connection((host, port), timeout=10) as sock:
+                protocol.write_frame(sock, FrameType.HELLO, {"token": token})
+                answers.append(protocol.read_frame(sock))
+                assert sock.recv(1) == b""
+        denied, refused = answers
+        assert denied.type == refused.type == FrameType.ERROR
+        assert denied.meta["auth"] == "denied"
+        assert "auth" not in refused.meta
+        assert "protocol" in refused.meta["message"]
+        with _client(host, port, token="s3cret") as client:
             assert client.ingest("app", [1, 2, 3] * 30) is not None
 
     def test_async_client_auth(self, loopback):

@@ -1,30 +1,39 @@
-"""Version negotiation between v2 and v3 peers, and handle-table faults.
+"""The one wire version at HELLO, and handle-table faults.
 
-The compatibility contract of the wire-hot-path PR: every pairing of a
-v2 peer with a v3 peer settles on the v2 JSON protocol and behaves
-exactly like the pre-v3 deployment, while v3<->v3 pairs use the binary
-hot frames — with identical events either way.  Handle faults (unknown
-or stale handles on a hot frame) are request errors, never connection
-teardowns.
+Both daemons speak protocol 3 only: a HELLO that does not name it is
+answered with one ERROR and closed before the daemon acts on it, and a
+client refuses a server whose HELLO reply does not name it.  Handle
+faults (unknown or stale handles on a hot frame) are request errors,
+never connection teardowns.
 """
 
 from __future__ import annotations
 
 import asyncio
+import socket
+import threading
 
 import numpy as np
 import pytest
 
 from _server_helpers import event_config, event_traces, magnitude_traces
+from repro.server import protocol
 from repro.server.client import (
     AsyncDetectionClient,
     DetectionClient,
     ServerError,
     _check,
 )
-from repro.server.protocol import PROTOCOL_VERSION, FrameType, encode_hot_ingest
-from repro.server.server import ServerConfig
-from repro.service.pool import DetectorPool
+from repro.server.protocol import (
+    PROTOCOL_VERSION,
+    FrameType,
+    ProtocolError,
+    encode_hot_ingest,
+)
+from repro.service.pool import DetectorPool, PoolConfig
+
+#: A HELLO without a ``protocol`` key, as every version-2 peer sends.
+MISSING = object()
 
 
 def keyed(events, strip=""):
@@ -36,34 +45,34 @@ def keyed(events, strip=""):
     return per_stream
 
 
-def hot_ingest(client, handles, matrix):
+def hot_ingest(handles, matrix):
     """A hand-made INGEST_HOT frame, sent past the client's own checks."""
-    return encode_hot_ingest(
-        FrameType.INGEST_HOT, handles, matrix, version=client.protocol_version
-    )
+    return encode_hot_ingest(FrameType.INGEST_HOT, handles, matrix)
 
 
-def direct(traces, namespace, lockstep=False):
-    pool = DetectorPool(event_config())
+def direct(traces, namespace, config=None):
+    pool = DetectorPool(config or event_config())
     prefixed = {f"{namespace}/{sid}": v for sid, v in traces.items()}
-    events = pool.ingest_lockstep(prefixed) if lockstep else pool.ingest_many(prefixed)
-    return keyed(events, strip=f"{namespace}/")
+    return keyed(pool.ingest_many(prefixed), strip=f"{namespace}/")
 
 
 # ----------------------------------------------------------------------
-# negotiation matrix
+# the one wire version
 # ----------------------------------------------------------------------
-class TestNegotiationMatrix:
-    def test_v3_client_v3_server_settles_on_v3(self, loopback):
+class TestProtocol3:
+    def test_client_speaks_protocol_3_with_interned_handles(self, loopback):
         _, host, port = loopback()
         traces = event_traces(6, samples=128)
         with DetectionClient(f"repro://{host}:{port}", namespace="n") as client:
-            assert client.protocol_version == PROTOCOL_VERSION
+            assert client.server_info["protocol"] == PROTOCOL_VERSION
             remote = keyed(client.ingest_many(traces))
             stats = client.stats()["server"]
-            assert stats["protocol"]["connection"] == PROTOCOL_VERSION
-            # The hot path actually carried the ingest: handles were
-            # interned for every stream of the fleet.
+            assert stats["protocol"] == {
+                "supported": PROTOCOL_VERSION,
+                "connection": PROTOCOL_VERSION,
+            }
+            # The hot path carried the ingest: handles were interned for
+            # every stream of the fleet.
             assert set(client._session.handles.of_name) == set(traces)
         assert remote == direct(traces, "n")
 
@@ -78,127 +87,116 @@ class TestNegotiationMatrix:
             assert set(client._session.handles.of_name) == set(traces)
         assert remote == direct(traces, "n")
 
-    @pytest.mark.parametrize("max_protocol", [1, PROTOCOL_VERSION + 1])
-    def test_bad_max_protocol_is_refused_before_connecting(
-        self, monkeypatch, max_protocol
-    ):
-        def no_connect(*args, **kwargs):
-            raise AssertionError("a connection was opened")
-
-        monkeypatch.setattr("socket.create_connection", no_connect)
-        monkeypatch.setattr("asyncio.open_connection", no_connect)
-        url = "repro://127.0.0.1:9"
-        with pytest.raises(ValueError, match="max_protocol"):
-            DetectionClient(url, max_protocol=max_protocol)
-        with pytest.raises(ValueError, match="max_protocol"):
-            asyncio.run(AsyncDetectionClient.connect(url, max_protocol=max_protocol))
-
-    def test_v2_client_v3_server_settles_on_v2(self, loopback):
-        """A frozen-v2 client (max_protocol=2) gets pre-v3 behaviour."""
+    def test_samples_without_a_wire_code(self, loopback):
+        """float16 widens exactly; other dtypes are refused before a
+        byte is sent, so the connection stays in step."""
         _, host, port = loopback()
-        traces = event_traces(6, samples=128)
-        with DetectionClient(f"repro://{host}:{port}", namespace="n", max_protocol=2) as client:
-            assert client.protocol_version == 2
-            remote = keyed(client.ingest_many(traces))
-            assert client.stats()["server"]["protocol"]["connection"] == 2
-            # No handles were ever interned on a v2 connection.
-            assert client._session.handles.of_name == {}
-        assert remote == direct(traces, "n")
-
-    def test_v3_client_v2_server_settles_on_v2(self, loopback):
-        """A v3 client against an old server falls back to JSON frames."""
-        _, host, port = loopback(server_config=ServerConfig(port=0, max_protocol=2))
-        traces = event_traces(6, samples=128)
+        trace = np.tile(np.arange(5), 30)
         with DetectionClient(f"repro://{host}:{port}", namespace="n") as client:
-            assert client.protocol_version == 2
-            remote = keyed(client.ingest_many(traces))
-            lock = keyed(client.ingest_lockstep(traces))
-            assert client._session.handles.of_name == {}
-        assert remote == direct(traces, "n")
-        assert lock  # the JSON lockstep path still produced events
-
-    def test_v2_server_rejects_out_of_version_frames(self, daemon):
-        """Defence in depth: hot frames at a frozen-v2 daemon are refused.
-
-        A pre-v3 server would not even have REGISTER in its frame enum —
-        the violation surfaces as an ERROR and the peer is dropped, which
-        is exactly what the frozen-v2 emulation reproduces, on a server
-        and on a router alike.  A correct client never hits this:
-        negotiation already settled on v2.
-        """
-        host, port = daemon(max_protocol=2)
-        with DetectionClient(f"repro://{host}:{port}", namespace="n") as client:
-            with pytest.raises((ServerError, ConnectionError), match="REGISTER|closed"):
-                client._send(client._session.encode(FrameType.REGISTER, {"streams": ["x"]}))
-                _check(client._read_reply())
-                client._read_reply()  # protocol violations drop the peer
+            widened = keyed(client.ingest_many({"h": trace.astype(np.float16)}))
+            for bad in (trace.astype(np.complex128), trace.astype(str), [1, "x"]):
+                with pytest.raises(ValueError, match="wire"):
+                    client.ingest_many({"h2": bad, "h3": trace})
+                with pytest.raises(ValueError, match="wire"):
+                    client.ingest_lockstep({"h2": bad})
+            assert "h2" not in client._session.handles.of_name
+            assert client.stats()["pool"]["streams"] == 1
+        assert widened == direct({"h": trace}, "n")
 
 
-class TestV2ClientFullSurface:
-    def test_lockstep_subscribe_and_replay_on_v2(self, loopback):
-        """The whole request surface works for a frozen-v2 client."""
-        _, host, port = loopback(
-            server_config=ServerConfig(port=0, journal_size=4096)
-        )
-        traces = event_traces(4, samples=96)
-        with DetectionClient(f"repro://{host}:{port}", namespace="n", max_protocol=2) as client:
-            client.subscribe("own")
-            events = client.ingest_lockstep(traces)
-            assert keyed(events) == direct(traces, "n", lockstep=True)
-            stream = events[0].stream_id
-            replayed, gap = client.replay(stream, 0)
-            assert gap is None
-            want = sorted(e.seq for e in events if e.stream_id == stream)
-            assert [e.seq for e in replayed] == want
-            assert client.stats()["server"]["protocol"]["connection"] == 2
+def refused_hello(host, port, meta) -> protocol.Frame:
+    """Send one raw HELLO; returns the answer after asserting it was the
+    only frame before the daemon closed the connection."""
+    with socket.create_connection((host, port), timeout=10) as sock:
+        protocol.write_frame(sock, FrameType.HELLO, meta)
+        frame = protocol.read_frame(sock)
+        assert sock.recv(1) == b""  # nothing else, then the close
+    return frame
 
-    def test_v2_and_v3_subscribers_see_identical_pushes(self, loopback):
-        """EVENT (JSON) and EVENT_HOT (binary) pushes carry the same events."""
-        _, host, port = loopback()
+
+class TestOldPeersRefusedAtHello:
+    @pytest.mark.parametrize("auth", [False, True], ids=["open", "auth"])
+    @pytest.mark.parametrize(
+        "spoken", [MISSING, 2, True, "3"], ids=["missing", "2", "true", "str"]
+    )
+    def test_hello_without_protocol_3_is_refused(self, daemon, auth, spoken):
+        host, port = daemon(**({"auth_token": "s3cret"} if auth else {}))
+        url = f"repro://{'s3cret@' if auth else ''}{host}:{port}"
         traces = event_traces(3, samples=96)
-        with DetectionClient(f"repro://{host}:{port}", namespace="n", max_protocol=2) as old, \
-                DetectionClient(f"repro://{host}:{port}", namespace="n") as new, \
-                DetectionClient(f"repro://{host}:{port}", namespace="n") as writer:
-            old.subscribe("all")
-            new.subscribe("all")
-            produced = writer.ingest_many(traces)
-            assert produced
+        with DetectionClient(url, namespace="n") as client:
+            client.ingest_many(traces)
+        # A fresh=True HELLO would purge namespace "n", were it accepted.
+        meta = {"namespace": "n", "fresh": True}
+        if auth:
+            meta["token"] = "s3cret"
+        if spoken is not MISSING:
+            meta["protocol"] = spoken
+        frame = refused_hello(host, port, meta)
+        assert frame.type == FrameType.ERROR
+        assert "protocol" in frame.meta["message"]
+        # The next client is served, the namespace kept its streams and
+        # the refused peer took no connection number.
+        with DetectionClient(url, namespace="n") as client:
+            assert client.stats()["pool"]["streams"] == len(traces)
+        with DetectionClient(url) as anonymous:
+            assert anonymous.namespace[1:] == "3"
 
-            def drain(sub):
-                got = []
-                while len(got) < len(produced):
-                    batch = sub.next_events(timeout=5.0)
-                    assert batch is not None, "push never arrived"
-                    got.extend(batch)
-                # scope-"all" pushes name streams with their namespace.
-                return keyed(got, strip="n/")
-
-            assert drain(old) == drain(new) == keyed(produced)
+    def test_auth_is_checked_first(self, daemon):
+        host, port = daemon(auth_token="s3cret")
+        frame = refused_hello(host, port, {"namespace": "n", "token": "wrong"})
+        assert frame.type == FrameType.ERROR
+        assert frame.meta["auth"] == "denied"
 
 
-class TestAsyncNegotiation:
-    def test_async_client_negotiates_and_falls_back(self, loopback):
-        _, host, port = loopback()
-        _, host2, port2 = loopback(
-            server_config=ServerConfig(port=0, max_protocol=2)
-        )
-        traces = event_traces(4, samples=96)
+@pytest.fixture
+def old_server():
+    """Factory: a listener that answers every HELLO with ``reply_meta``
+    in a version-2 header, as an old daemon would; returns its URL."""
+    listeners: list[socket.socket] = []
+    threads: list[threading.Thread] = []
+
+    def start(reply_meta: dict, connections: int) -> str:
+        listener = socket.create_server(("127.0.0.1", 0))
+        listeners.append(listener)
+
+        def serve() -> None:
+            for _ in range(connections):
+                conn, _ = listener.accept()
+                with conn:
+                    protocol.read_frame(conn)
+                    blob = b"".join(
+                        bytes(b) for b in protocol.encode_frame(FrameType.OK, reply_meta)
+                    )
+                    conn.sendall(blob[:4] + (2).to_bytes(2, "big") + blob[6:])
+                    conn.recv(1)  # until the client closes
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        threads.append(thread)
+        host, port = listener.getsockname()
+        return f"repro://{host}:{port}"
+
+    yield start
+    for thread in threads:
+        thread.join(timeout=10)
+    for listener in listeners:
+        listener.close()
+
+
+class TestClientRefusesOldServers:
+    @pytest.mark.parametrize(
+        "reply", [{}, {"protocol": 2}, {"protocol": True}], ids=["missing", "2", "true"]
+    )
+    def test_both_clients_refuse_a_reply_without_protocol_3(self, old_server, reply):
+        url = old_server({"namespace": "n", **reply}, connections=2)
+        with pytest.raises(ProtocolError, match="wire protocol"):
+            DetectionClient(url)
 
         async def run():
-            new = await AsyncDetectionClient.connect(f"repro://{host}:{port}", namespace="n")
-            old = await AsyncDetectionClient.connect(f"repro://{host2}:{port2}", namespace="n")
-            try:
-                assert new.protocol_version == PROTOCOL_VERSION
-                assert old.protocol_version == 2
-                a = keyed(await new.ingest_many(traces))
-                b = keyed(await old.ingest_many(traces))
-            finally:
-                await new.close()
-                await old.close()
-            return a, b
+            with pytest.raises(ProtocolError, match="wire protocol"):
+                await AsyncDetectionClient.connect(url)
 
-        a, b = asyncio.run(run())
-        assert a == b == direct(traces, "n")
+        asyncio.run(run())
 
 
 # ----------------------------------------------------------------------
@@ -209,7 +207,7 @@ class TestHandleFaults:
         _, host, port = loopback()
         matrix = (np.arange(32.0) % 4).reshape(1, -1)
         with DetectionClient(f"repro://{host}:{port}", namespace="n") as client:
-            client._send(hot_ingest(client, [99], matrix))
+            client._send(hot_ingest([99], matrix))
             with pytest.raises(ServerError, match="handle"):
                 _check(client._read_reply())
             # Same socket keeps serving requests afterwards.
@@ -225,7 +223,7 @@ class TestHandleFaults:
             stale = [client._session.handles.of_name[sid] for sid in traces]
         with DetectionClient(f"repro://{host}:{port}", namespace="n") as client:
             matrix = np.zeros((len(stale), 16))
-            client._send(hot_ingest(client, stale, matrix))
+            client._send(hot_ingest(stale, matrix))
             with pytest.raises(ServerError, match="handle"):
                 _check(client._read_reply())
             # Re-registering on the new connection heals the client.
@@ -241,7 +239,7 @@ class TestHandleFaults:
         _, host, port = loopback()
         with DetectionClient(f"repro://{host}:{port}", namespace="n") as client:
             (handle,) = client._run(client._session.register(["x"]))
-            client._send(hot_ingest(client, [handle, handle], np.zeros((2, 8))))
+            client._send(hot_ingest([handle, handle], np.zeros((2, 8))))
             with pytest.raises((ServerError, ConnectionError)):
                 _check(client._read_reply())
                 client._read_reply()  # server tears the connection down
@@ -249,7 +247,6 @@ class TestHandleFaults:
     def test_magnitude_mode_hot_path_equivalence(self, loopback):
         """Hot frames also carry magnitude-mode fleets faithfully."""
         from repro.core.detector import DetectorConfig
-        from repro.service.pool import PoolConfig
 
         config = PoolConfig(
             mode="magnitude",
@@ -257,6 +254,5 @@ class TestHandleFaults:
         )
         _, host, port = loopback(config)
         traces = magnitude_traces(5, samples=192)
-        with DetectionClient(f"repro://{host}:{port}", namespace="m") as v3, \
-                DetectionClient(f"repro://{host}:{port}", namespace="m2", max_protocol=2) as v2:
-            assert keyed(v3.ingest_many(traces)) == keyed(v2.ingest_many(traces))
+        with DetectionClient(f"repro://{host}:{port}", namespace="m") as client:
+            assert keyed(client.ingest_many(traces)) == direct(traces, "m", config)

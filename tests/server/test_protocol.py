@@ -40,7 +40,7 @@ class TestFrameRoundTrip:
     def test_arrays_carry_dtype_shape_and_values(self):
         batch = np.arange(12, dtype=np.float64).reshape(3, 4)
         ids = np.arange(5, dtype=np.int64)
-        frame = roundtrip(FrameType.INGEST, {"streams": ["x"]}, [batch, ids])
+        frame = roundtrip(FrameType.RESTORE, {"streams": ["x"]}, [batch, ids])
         np.testing.assert_array_equal(frame.arrays[0], batch)
         assert frame.arrays[0].dtype == np.float64
         np.testing.assert_array_equal(frame.arrays[1], ids)
@@ -48,13 +48,13 @@ class TestFrameRoundTrip:
 
     def test_decoded_arrays_are_zero_copy_views(self):
         batch = np.arange(1024, dtype=np.float64)
-        frame = roundtrip(FrameType.INGEST, {"streams": ["x"]}, [batch])
+        frame = roundtrip(FrameType.RESTORE, {"streams": ["x"]}, [batch])
         # A view into the received payload buffer, not a fresh allocation.
         assert frame.arrays[0].base is not None
 
     def test_encode_does_not_copy_large_arrays(self):
         batch = np.arange(4096, dtype=np.float64)
-        buffers = encode_frame(FrameType.INGEST, {"streams": ["x"]}, [batch])
+        buffers = encode_frame(FrameType.RESTORE, {"streams": ["x"]}, [batch])
         views = [b for b in buffers if isinstance(b, memoryview)]
         assert len(views) == 1
         assert views[0].obj is batch  # the array's own memory
@@ -77,7 +77,7 @@ class TestFrameRoundTrip:
 
     def test_non_contiguous_arrays_are_made_contiguous(self):
         matrix = np.arange(24, dtype=np.float64).reshape(4, 6)
-        frame = roundtrip(FrameType.INGEST, {"streams": ["x"]}, [matrix[:, ::2]])
+        frame = roundtrip(FrameType.RESTORE, {"streams": ["x"]}, [matrix[:, ::2]])
         np.testing.assert_array_equal(frame.arrays[0], matrix[:, ::2])
 
 
@@ -106,11 +106,11 @@ class TestFrameErrors:
             decode_header(header)
 
     def test_truncated_payloads(self):
-        buffers = encode_frame(FrameType.INGEST, {"s": 1}, [np.arange(8.0)])
+        buffers = encode_frame(FrameType.RESTORE, {"s": 1}, [np.arange(8.0)])
         payload = b"".join(bytes(b) for b in buffers)[protocol._HEADER.size :]
         for cut in (1, len(payload) - 17):
             with pytest.raises(ProtocolError, match="truncated"):
-                decode_payload(FrameType.INGEST, payload[:cut])
+                decode_payload(FrameType.RESTORE, payload[:cut])
 
     def test_trailing_garbage_rejected(self):
         payload = b"".join(bytes(b) for b in encode_frame(FrameType.STATS, {}))[protocol._HEADER.size :]
@@ -180,6 +180,19 @@ class TestMalformedDescriptors:
             [{"dtype": "<f8"}],  # missing shape/nbytes
             [{"dtype": "O", "shape": [1], "nbytes": 8}],  # object dtype
             [{"dtype": 12, "shape": [1], "nbytes": 8}],
+            # structured-dtype fields with fewer than two items
+            [{"dtype": [[]], "shape": [1], "nbytes": 8}],
+            [{"dtype": [["a"]], "shape": [1], "nbytes": 8}],
+            [{"dtype": {"a": 1}, "shape": [1], "nbytes": 8}],
+            # shapes and sizes that are not non-negative integers, or
+            # that disagree with each other
+            [{"dtype": "<f8", "shape": ["a"], "nbytes": 8}],
+            [{"dtype": "<f8", "shape": [1.0], "nbytes": 8}],
+            [{"dtype": "<f8", "shape": [1], "nbytes": -8}],
+            [{"dtype": "<f8", "shape": [2], "nbytes": 8}],
+            [{"dtype": "<f8", "shape": [-1], "nbytes": 8}],
+            [{"dtype": "<f8", "shape": ["a"], "nbytes": 0}],
+            [{"dtype": "S0", "shape": [1 << 40], "nbytes": 0}],
         ],
     )
     def test_bad_array_descriptors(self, descriptors):
@@ -189,4 +202,11 @@ class TestMalformedDescriptors:
         meta = json.dumps({"__arrays__": descriptors}).encode()
         payload = struct.pack("!I", len(meta)) + meta + bytes(8)
         with pytest.raises(ProtocolError):
-            decode_payload(FrameType.INGEST, payload)
+            decode_payload(FrameType.RESTORE, payload)
+
+    def test_deeply_nested_meta(self):
+        import struct
+
+        meta = b"[" * 100_000
+        with pytest.raises(ProtocolError, match="undecodable"):
+            decode_payload(FrameType.STATS, struct.pack("!I", len(meta)) + meta)

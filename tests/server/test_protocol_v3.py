@@ -1,11 +1,10 @@
-"""Unit tests of the v3 binary hot-frame codecs (no sockets involved)."""
+"""Unit tests of the binary hot-frame codecs (no sockets involved)."""
 
 import numpy as np
 import pytest
 
 from repro.server import protocol
 from repro.server.protocol import (
-    BASELINE_VERSION,
     EVENT_WIRE_DTYPE,
     PROTOCOL_VERSION,
     WIRE_DTYPE_CODES,
@@ -42,7 +41,7 @@ class TestDtypeCodes:
             assert code is not None
             assert protocol._CODE_TO_DTYPE[code] == dtype
 
-    def test_unsupported_dtypes_fall_back_to_json(self):
+    def test_unsupported_dtypes_have_no_code(self):
         assert hot_dtype_code(np.dtype("U8")) is None
         assert hot_dtype_code(EVENT_WIRE_DTYPE) is None  # structured
         assert hot_dtype_code("not a dtype at all" * 5) is None
@@ -105,6 +104,56 @@ class TestHotIngestRoundTrip:
         payload = protocol._HOT_INGEST_HEAD.pack(0, 200, 0)
         with pytest.raises(ProtocolError, match="dtype code"):
             decode_payload(FrameType.INGEST_HOT, payload)
+
+
+class TestPerRowIngest:
+    ROWS = [
+        np.arange(5.0),
+        np.array([], dtype="<i4"),
+        np.array([True, False]),
+        np.arange(3, dtype=">i8"),  # big-endian: travels little-endian
+        np.arange(4, dtype="|u1"),
+    ]
+
+    def test_rows_keep_their_lengths_and_dtypes(self):
+        frame = roundtrip(encode_hot_ingest(FrameType.INGEST_HOT, [3, 1, 2, 9, 0], self.ROWS))
+        assert frame.meta == {"handles": [3, 1, 2, 9, 0]}
+        assert len(frame.arrays) == len(self.ROWS)
+        for got, want in zip(frame.arrays, self.ROWS):
+            assert got.dtype == want.dtype.newbyteorder("<")
+            np.testing.assert_array_equal(got, want)
+
+    def test_layout(self):
+        blob = join(encode_hot_ingest(FrameType.INGEST_HOT, [7, 8], self.ROWS[:2]))
+        assert blob[protocol._HEADER.size :].hex() == (
+            "02000000" "00" "00000000"  # 2 streams, the per-row marker, chunk 0
+            "07000000" "08000000"  # handles
+            "01" "05000000" "04" "00000000"  # (<f8, 5 samples), (<i4, 0 samples)
+            + np.arange(5.0).tobytes().hex()
+        )
+
+    def test_lockstep_needs_the_rectangular_form(self):
+        with pytest.raises(ProtocolError, match="share one length"):
+            encode_hot_ingest(FrameType.LOCKSTEP_HOT, [0], [np.arange(3.0)])
+        blob = join(encode_hot_ingest(FrameType.INGEST_HOT, [0], [np.arange(3.0)]))
+        with pytest.raises(ProtocolError, match="per-row"):
+            decode_payload(FrameType.LOCKSTEP_HOT, blob[protocol._HEADER.size :])
+
+    def test_rows_must_be_one_dimensional_and_codeable(self):
+        with pytest.raises(ProtocolError, match="1-D"):
+            encode_hot_ingest(FrameType.INGEST_HOT, [0], [np.zeros((2, 2))])
+        with pytest.raises(ProtocolError, match="no hot wire code"):
+            encode_hot_ingest(FrameType.INGEST_HOT, [0], [np.zeros(2, dtype="c16")])
+
+    def test_malformed_payloads_rejected(self):
+        payload = join(encode_hot_ingest(FrameType.INGEST_HOT, [0, 1], self.ROWS[:2]))[
+            protocol._HEADER.size :
+        ]
+        nonzero_chunk = payload[:5] + (1).to_bytes(4, "little") + payload[9:]
+        bad_code = payload[:17] + bytes([200]) + payload[18:]
+        for bad in (payload[:12], payload[:-1], payload + b"x", nonzero_chunk, bad_code):
+            with pytest.raises(ProtocolError):
+                decode_payload(FrameType.INGEST_HOT, bad)
 
 
 class TestHotEventsRoundTrip:
@@ -173,21 +222,23 @@ class TestVersionStamping:
         _, version, _, _ = protocol._HEADER.unpack(blob[: protocol._HEADER.size])
         return version
 
-    def test_json_frames_default_to_the_v2_baseline(self):
-        # HELLO and un-negotiated traffic must stay readable by v2 peers.
-        assert self.header_version(encode_frame(FrameType.HELLO, {})) == BASELINE_VERSION
+    def test_every_frame_is_stamped_with_the_protocol_version(self):
+        table = protocol.events_to_array([], {})
+        for buffers in (
+            encode_frame(FrameType.HELLO, {}),
+            encode_frame(FrameType.STATS, {}),
+            encode_hot_ingest(FrameType.INGEST_HOT, [0], np.zeros((1, 4))),
+            encode_hot_ingest(FrameType.INGEST_HOT, [0], [np.zeros(4)]),
+            encode_hot_events(FrameType.EVENT_HOT, [], table),
+        ):
+            assert self.header_version(buffers) == PROTOCOL_VERSION
 
-    def test_negotiated_version_is_stamped(self):
-        assert (
-            self.header_version(encode_frame(FrameType.STATS, {}, version=3))
-            == PROTOCOL_VERSION
-        )
-        assert (
-            self.header_version(
-                encode_hot_ingest(FrameType.INGEST_HOT, [0], np.zeros((1, 4)))
-            )
-            == PROTOCOL_VERSION
-        )
+    def test_older_headers_still_parse(self):
+        # An old peer's HELLO must decode, so the daemon can refuse it
+        # with an ERROR instead of dropping the connection.
+        blob = join(encode_frame(FrameType.HELLO, {"namespace": "old"}))
+        older = blob[:4] + (2).to_bytes(2, "big") + blob[6:]
+        assert decode_header(older[: protocol._HEADER.size])[0] == FrameType.HELLO
 
     def test_future_version_header_rejected(self):
         blob = join(encode_hot_ingest(FrameType.INGEST_HOT, [0], np.zeros((1, 4))))

@@ -254,13 +254,58 @@ class TestProtocolAbuse:
 
         _, host, port = loopback(event_config())
         with socket.create_connection((host, port), timeout=10) as sock:
-            protocol.write_frame(sock, FrameType.HELLO, {"namespace": "x"})
+            protocol.write_frame(sock, FrameType.HELLO, {"namespace": "x", "protocol": 3})
             assert protocol.read_frame(sock).type == FrameType.OK
-            protocol.write_frame(
-                sock, FrameType.INGEST, {"streams": ["a", "b"]}, [np.arange(4.0)]
+            protocol.write_frame(sock, FrameType.REGISTER, {"streams": ["a", "b"]})
+            assert protocol.read_frame(sock).type == FrameType.OK
+            # Two handles, but the sample bytes of one row only.
+            blob = b"".join(
+                bytes(b)
+                for b in protocol.encode_hot_ingest(
+                    FrameType.INGEST_HOT, [0, 1], np.zeros((2, 4))
+                )
+            )
+            head = protocol._HEADER.size
+            short = protocol._HEADER.pack(
+                protocol.MAGIC, protocol.PROTOCOL_VERSION, int(FrameType.INGEST_HOT),
+                len(blob) - head - 32,
+            )
+            sock.sendall(short + blob[head:-32])
+            frame = protocol.read_frame(sock)
+            assert frame.type == FrameType.ERROR
+
+    @pytest.mark.parametrize("dtype", [[[]], [["a"]]])
+    def test_malformed_array_descriptor_is_answered(self, daemon, dtype):
+        """A descriptor the decoder cannot use is answered ERROR before
+        the close, like every other malformed frame."""
+        import json
+        import socket
+        import struct
+
+        from repro.server import protocol
+        from repro.server.protocol import FrameType
+
+        host, port = daemon(event_config())
+        meta = json.dumps(
+            {"__arrays__": [{"dtype": dtype, "shape": [1], "nbytes": 8}]}
+        ).encode()
+        payload = struct.pack("!I", len(meta)) + meta + bytes(8)
+        with socket.create_connection((host, port), timeout=10) as sock:
+            protocol.write_frame(sock, FrameType.HELLO, {"namespace": "x", "protocol": 3})
+            assert protocol.read_frame(sock).type == FrameType.OK
+            sock.sendall(
+                protocol._HEADER.pack(
+                    protocol.MAGIC, protocol.PROTOCOL_VERSION,
+                    int(FrameType.RESTORE), len(payload),
+                )
+                + payload
             )
             frame = protocol.read_frame(sock)
             assert frame.type == FrameType.ERROR
+            assert "descriptor" in frame.meta["message"]
+            assert sock.recv(1) == b""
+        with DetectionClient(f"repro://{host}:{port}") as client:
+            assert client.stats()["server"]
 
 
 class TestShutdown:
