@@ -68,11 +68,12 @@ KERNEL_NAMES = (
     "select_periods_batch_impl",
 )
 
-#: Upper bound on the elements of one ``(rows, chunk, lags)`` scratch
-#: block a chunked kernel call may materialise.  Callers cut their
-#: chunks with :func:`chunk_columns`, which bounds the working set of
-#: the magnitude and event passes without limiting how many columns a
-#: batch may hold.
+#: Upper bound on ``rows * chunk * lags`` for one chunked kernel call.
+#: Callers cut their chunks with :func:`chunk_columns`, which bounds the
+#: working set without limiting how many columns a batch may hold.  Only
+#: the event kernel still builds a ``(rows, chunk, lags)`` block; the
+#: magnitude advance steps through one ``(rows, lags)`` scratch, and for
+#: the magnitude bank the budget bounds its ``ext`` sample matrix.
 CHUNK_BUDGET_ELEMENTS = 1 << 21
 
 

@@ -40,8 +40,8 @@ def magnitude_advance_sums(
     and ``sums`` is the bank's ``(streams, max_lag + 1)`` running-sum
     matrix, updated in place.  Step ``t`` inserts ``ext[s, window + t]``
     and evicts ``ext[s, t]``; per element the add is applied before the
-    evict, exactly as the NumPy reference applies its two 2-D passes,
-    so the float state stays bit-for-bit the scalar engine's.
+    evict, exactly as each step of the NumPy reference applies them, so
+    the float state stays bit-for-bit the scalar engine's.
     """
     streams = sums.shape[0]
     top = sums.shape[1] - 1

@@ -44,28 +44,32 @@ def magnitude_advance_sums(
 ) -> None:
     """Advance the incremental AMDF sums of a full-window bank by a chunk.
 
-    The per-step insert/evict terms of the recurrence are materialised
-    for the whole chunk in two strided 3-D passes over ``ext`` (window
-    contents oldest-first ++ incoming columns), then applied step by
-    step as plain 2-D adds — same values, same order, bit-for-bit the
-    arithmetic of the scalar engine's per-sample update.
+    The per-step recurrence of the ``_source.py`` loop body, vectorised
+    over ``(rows, lags)``: step ``t`` adds ``|x_new - x_prev(lag)|`` for
+    ``x_new = ext[:, window + t]``, then subtracts
+    ``|x_old(lag) - x_evicted|`` for ``x_evicted = ext[:, t]``.  Both
+    terms pass through one ``(rows, max_lag)`` scratch, so the working
+    set is independent of the chunk length; same operands, same order,
+    bit-for-bit the arithmetic of the scalar engine's per-sample update.
+    The insert term is computed oldest-first and added through a
+    reversed view: NumPy's SIMD and scalar loops propagate a NaN
+    operand's sign differently, and this layout keeps even NaN bits equal
+    to those of the strided ``(rows, chunk, lags)`` formulation.
     """
     top = sums.shape[1] - 1
-    # sw[s, j, k] = ext[s, j + k]; row j spans ext[j .. j + top].
-    sw = sliding_window_view(ext, top + 1, axis=1)
-    # Insert terms: step t adds |x_new - x_prev(m)| at lag m, where
-    # x_new = ext[:, window + t]; column k of the block is lag top-k.
-    base = window - top
-    add_rev = np.abs(
-        sw[:, base : base + length, top : top + 1] - sw[:, base : base + length, :top]
-    )
-    # Evict terms: step t removes |x_old(m) - x_evicted| at lag m,
-    # where x_evicted = ext[:, t]; column k of the block is lag k+1.
-    sub = np.abs(sw[:, :length, 1 : top + 1] - sw[:, :length, :1])
     body = sums[:, 1 : top + 1]
-    for step_t in range(length):
-        body += add_rev[:, step_t, ::-1]
-        body -= sub[:, step_t, :]
+    scratch = np.empty_like(body)
+    for t in range(length):
+        new = window + t
+        # Insert: scratch column k pairs x_new with ext[:, new - top + k],
+        # so lag m is column top - m, read reversed.
+        np.subtract(ext[:, new : new + 1], ext[:, new - top : new], out=scratch)
+        np.abs(scratch, out=scratch)
+        np.add(body, scratch[:, ::-1], out=body)
+        # Evict: column m - 1 (lag m) pairs ext[:, t + m] with x_evicted.
+        np.subtract(ext[:, t + 1 : t + top + 1], ext[:, t : t + 1], out=scratch)
+        np.abs(scratch, out=scratch)
+        np.subtract(body, scratch, out=body)
 
 
 # ----------------------------------------------------------------------

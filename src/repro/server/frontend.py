@@ -239,14 +239,21 @@ class Connection:
             names.append(table[handle])
         return names
 
-    def push_events(self, ids: list[str], events: list[PeriodStartEvent]) -> None:
-        """Queue a subscriber push of ``events`` (named as the peer sees
-        them, one of ``ids`` each), dropping and counting on overflow."""
+    def push_events(
+        self, ids: list[str], events: list[PeriodStartEvent], named: str = ""
+    ) -> None:
+        """Queue a subscriber push of ``events``, dropping and counting on
+        overflow.
+
+        ``ids`` are the streams as the peer sees them; each event names
+        its stream ``named + id``, so the daemon's own events go out
+        under subscriber-local names without being rebuilt.
+        """
         if self.dead or self.queued_pushes >= self.frontend.config.push_queue:
             self.dropped_events += len(events)
             self.frontend.dropped_events += len(events)
             return
-        positions = {sid: pos for pos, sid in enumerate(ids)}
+        positions = {named + sid: pos for pos, sid in enumerate(ids)}
         table = protocol.events_to_array(events, positions)
         self.queued_pushes += 1
         # EVENT_HOT: handles instead of repeated names, announcing each

@@ -303,7 +303,10 @@ class CheckpointStore:
                 np.frombuffer(chunk, dtype=dtype).reshape(descriptor["shape"])
             )
             offset += nbytes
-        record = protocol.unpack_object(header["tree"], arrays)
+        try:
+            record = protocol.unpack_object(header["tree"], arrays)
+        except protocol.ProtocolError as exc:
+            raise CorruptSegmentError(f"{path.name}: bad snapshot tree") from exc
         if not isinstance(record, dict):
             raise CorruptSegmentError(f"{path.name}: record is not a mapping")
         return record

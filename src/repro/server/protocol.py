@@ -854,16 +854,51 @@ def pack_object(obj) -> tuple[object, list[np.ndarray]]:
 
 
 def unpack_object(tree, arrays: Sequence[np.ndarray]):
-    """Reverse :func:`pack_object` against the frame's array list."""
+    """Reverse :func:`pack_object` against the frame's array list.
+
+    A malformed marker raises :class:`ProtocolError`: an ``__nd__`` that
+    is not an index of ``arrays``, a ``__map__`` that is not a list of
+    pairs with hashable keys, or a ``__tuple__`` that is not a list.
+    """
 
     def decode(value):
         if isinstance(value, dict):
             if "__nd__" in value:
-                return np.array(arrays[int(value["__nd__"])])  # owned copy
+                index = value["__nd__"]
+                if (
+                    not isinstance(index, int)
+                    or isinstance(index, bool)
+                    or not 0 <= index < len(arrays)
+                ):
+                    raise ProtocolError(
+                        f"array marker {index!r} names none of the frame's "
+                        f"{len(arrays)} arrays"
+                    )
+                return np.array(arrays[index])  # owned copy
             if "__map__" in value:
-                return {decode(k): decode(v) for k, v in value["__map__"]}
+                pairs = value["__map__"]
+                if not isinstance(pairs, list) or not all(
+                    isinstance(pair, list) and len(pair) == 2 for pair in pairs
+                ):
+                    raise ProtocolError(
+                        "'__map__' must be a list of [key, value] pairs"
+                    )
+                out = {}
+                for key, item in pairs:
+                    key = decode(key)
+                    try:
+                        hash(key)
+                    except TypeError:
+                        raise ProtocolError(
+                            f"unhashable '__map__' key of type {type(key).__name__}"
+                        ) from None
+                    out[key] = decode(item)
+                return out
             if "__tuple__" in value:
-                return tuple(decode(v) for v in value["__tuple__"])
+                items = value["__tuple__"]
+                if not isinstance(items, list):
+                    raise ProtocolError("'__tuple__' must be a list")
+                return tuple(decode(v) for v in items)
             return {k: decode(v) for k, v in value.items()}
         if isinstance(value, list):
             return [decode(v) for v in value]

@@ -837,30 +837,15 @@ class DetectionServer(Frontend):
             if conn.subscription is None or conn.dead:
                 continue
             if conn.subscription == "all":
-                matched = events
-                ids = sorted({e.stream_id for e in matched})
-            else:
-                matched = [e for e in events if e.stream_id.startswith(conn.prefix)]
-                if not matched:
-                    continue
-                ids = sorted({e.stream_id for e in matched})
-            local = [
-                sid[len(conn.prefix) :] if conn.subscription == "own" else sid
-                for sid in ids
-            ]
-            index = {sid: pos for pos, sid in enumerate(ids)}
-            renamed = [
-                PeriodStartEvent(
-                    stream_id=local[index[e.stream_id]],
-                    index=e.index,
-                    period=e.period,
-                    confidence=e.confidence,
-                    new_detection=e.new_detection,
-                    seq=e.seq,
-                )
-                for e in matched
-            ]
-            conn.push_events(local, renamed)
+                conn.push_events(sorted({e.stream_id for e in events}), events)
+                continue
+            prefix = conn.prefix
+            matched = [e for e in events if e.stream_id.startswith(prefix)]
+            if not matched:
+                continue
+            cut = len(prefix)
+            local = sorted({e.stream_id[cut:] for e in matched})
+            conn.push_events(local, matched, named=prefix)
 
     # ------------------------------------------------------------------
     # connection handling

@@ -20,10 +20,12 @@ No per-stream Python survives on the hot path:
   :class:`~repro.core.engine.LockTrackerBank` — whole-bank array
   transitions bit-for-bit equivalent to N scalar ``LockTracker``s;
 * :meth:`MagnitudeSoABank.process` advances the incremental AMDF sums
-  for all columns *between* evaluation/refresh boundaries in one chunked
-  columnar pass (the eviction/insert recurrence unrolled over the
-  chunk), instead of paying the full per-``step()`` dispatch for every
-  sample, and reports period starts from one vectorised mask per chunk;
+  for all columns *between* evaluation/refresh boundaries in one
+  :func:`repro.kernels.magnitude_advance_sums` call per chunk (the
+  eviction/insert recurrence stepped over the chunk's columns, each step
+  whole-bank ``(streams, max_lag)`` arithmetic into one scratch),
+  instead of paying the full per-``step()`` dispatch for every sample,
+  and reports period starts from one vectorised mask per chunk;
 * the refresh-interval drift guard recomputes, in one batched
   :func:`~repro.core.distance.amdf_pair_sums_batch` pass, only the rows
   whose window holds a non-exact sample; a row of exact integers (the
@@ -315,9 +317,10 @@ class MagnitudeSoABank:
 
         The insert/evict terms of the incremental AMDF recurrence are
         applied by the active :mod:`repro.kernels` backend — a fused
-        compiled loop when numba is installed, two strided 3-D NumPy
-        passes otherwise — per element in the exact operation order of
-        :meth:`step`, so the float state stays bit-for-bit identical.
+        compiled loop when numba is installed, otherwise six whole-bank
+        ``(streams, max_lag)`` NumPy ufuncs per column into one scratch —
+        per element in the exact operation order of :meth:`step`, so the
+        float state stays bit-for-bit identical.
         Evaluation (and the refresh rebuild) can only be due at the last
         column — :meth:`_chunk_len` cuts chunks at those boundaries — so
         the lock state is constant for all earlier columns and their

@@ -51,6 +51,10 @@ adversarial_float = st.one_of(
     st.sampled_from([0.25, 0.5, 1.0, 2.0]),  # exact-tie building blocks
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
 )
+#: Samples a magnitude stream may carry: non-finite and signed zeros too.
+magnitude_sample = st.one_of(
+    adversarial_float, st.sampled_from([np.nan, np.inf, -np.inf, -0.0])
+)
 
 
 class TestMagnitudeKernel:
@@ -69,7 +73,7 @@ class TestMagnitudeKernel:
             data.draw(
                 st.lists(
                     st.lists(
-                        adversarial_float,
+                        magnitude_sample,
                         min_size=window + length,
                         max_size=window + length,
                     ),
@@ -88,9 +92,10 @@ class TestMagnitudeKernel:
             )
         )
         expected = sums.copy()
-        numpy_backend.magnitude_advance_sums(expected, ext, window, length)
         got = sums.copy()
-        backend.magnitude_advance_sums(got, ext, window, length)
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is NaN
+            numpy_backend.magnitude_advance_sums(expected, ext, window, length)
+            backend.magnitude_advance_sums(got, ext, window, length)
         np.testing.assert_array_equal(got, expected)
 
 

@@ -193,6 +193,35 @@ def test_random_bytes_decode_or_raise_protocol_error(payload, ftype):
     decodes_or_refuses(ftype, payload)
 
 
+MARKERS = ["__nd__", "__map__", "__tuple__"]
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(MARKERS) | st.text(max_size=3), inner, max_size=2)
+    | st.builds(lambda marker, value: {marker: value}, st.sampled_from(MARKERS), inner),
+    max_leaves=12,
+)
+
+
+@FUZZ
+@example({"__nd__": 7}, 0)
+@example({"__nd__": -1}, 2)
+@example({"__nd__": True}, 2)
+@example({"__map__": [[[1], 2]]}, 0)
+@example({"__map__": [[{"__nd__": 0}, 1]]}, 1)
+@example({"__tuple__": "ab"}, 0)
+@given(JSON_TREES, st.integers(0, 2))
+def test_unpack_object_returns_a_value_or_raises_protocol_error(tree, narrays):
+    """A snapshot tree from the wire or a segment decodes, or is refused
+    with ProtocolError: a RESTORE is answered ERROR, a segment is skipped
+    as corrupt."""
+    arrays = [np.arange(k + 1, dtype=np.float64) for k in range(narrays)]
+    try:
+        protocol.unpack_object(tree, arrays)
+    except ProtocolError:
+        pass
+
+
 ROW_DTYPES = WIRE_DTYPES + [np.dtype("<f2"), np.dtype(">f8"), np.dtype(">i4")]
 
 

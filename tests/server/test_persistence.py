@@ -117,6 +117,21 @@ class TestCheckpointStore:
         assert set(result.streams) == {"ns/a"}  # the intact delta survives
         assert any("skipping unreadable" in r.message for r in caplog.records)
 
+    def test_bad_snapshot_tree_skipped_as_corrupt(self, tmp_path, monkeypatch):
+        """A CRC-valid segment whose tree names an array it does not
+        carry is skipped like a torn one."""
+        store = CheckpointStore(tmp_path)
+        store.write_delta({"ns/a": _stream_entry(1)})
+        monkeypatch.setattr(
+            persistence.protocol, "pack_object", lambda record: ({"__nd__": 5}, [])
+        )
+        store.write_delta({"ns/b": _stream_entry(2)})
+        monkeypatch.undo()
+
+        result = CheckpointStore(tmp_path).load()
+        assert result.segments_skipped == 1
+        assert set(result.streams) == {"ns/a"}
+
     def test_bit_flip_fails_crc_and_skips(self, tmp_path):
         store = CheckpointStore(tmp_path)
         store.write_delta({"ns/a": _stream_entry(1)})

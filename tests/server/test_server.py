@@ -307,6 +307,26 @@ class TestProtocolAbuse:
         with DetectionClient(f"repro://{host}:{port}") as client:
             assert client.stats()["server"]
 
+    def test_snapshot_marker_naming_no_array_is_answered(self, daemon):
+        """A RESTORE tree whose array marker points past the frame's
+        arrays gets one ERROR and a close, not a silent drop."""
+        import socket
+
+        from repro.server import protocol
+        from repro.server.protocol import FrameType
+
+        host, port = daemon(event_config())
+        with socket.create_connection((host, port), timeout=10) as sock:
+            protocol.write_frame(sock, FrameType.HELLO, {"namespace": "x", "protocol": 3})
+            assert protocol.read_frame(sock).type == FrameType.OK
+            protocol.write_frame(sock, FrameType.RESTORE, {"states": {"__nd__": 7}})
+            frame = protocol.read_frame(sock)
+            assert frame.type == FrameType.ERROR
+            assert "array marker" in frame.meta["message"]
+            assert sock.recv(1) == b""
+        with DetectionClient(f"repro://{host}:{port}") as client:
+            assert client.stats()["server"]
+
 
 class TestShutdown:
     def test_graceful_stop_drains_and_says_bye(self):
