@@ -145,21 +145,21 @@ class SeedDynamicPeriodicityDetector(DynamicPeriodicityDetector):
         window_before = self.window_values()
         evicted = None
         if self._fill == self._window_size:
-            evicted = float(self._buffer[self._head])
+            evicted = float(self._buffers[0, self._head])
 
         if window_before.size:
             m = min(self._max_lag, window_before.size)
             recent = window_before[::-1][:m]
             lags = np.arange(1, m + 1)
-            self._sums[lags] += np.abs(sample - recent)
+            self._sums[0, lags] += np.abs(sample - recent)
         if evicted is not None and window_before.size:
             m = min(self._max_lag, window_before.size - 1)
             if m >= 1:
                 oldest_next = window_before[1 : m + 1]
                 lags = np.arange(1, m + 1)
-                self._sums[lags] -= np.abs(oldest_next - evicted)
+                self._sums[0, lags] -= np.abs(oldest_next - evicted)
 
-        self._buffer[self._head] = sample
+        self._buffers[0, self._head] = sample
         self._head = (self._head + 1) % self._window_size
         if self._fill < self._window_size:
             self._fill += 1
@@ -188,9 +188,9 @@ class SeedDynamicPeriodicityDetector(DynamicPeriodicityDetector):
 
     def _rebuild_sums(self):
         window = self.window_values()
-        self._sums = np.zeros(self._max_lag + 1, dtype=np.float64)
+        self._sums = np.zeros((1, self._max_lag + 1), dtype=np.float64)
         for lag in range(1, min(self._max_lag, window.size - 1) + 1):
-            self._sums[lag] = float(np.abs(window[lag:] - window[:-lag]).sum())
+            self._sums[0, lag] = float(np.abs(window[lag:] - window[:-lag]).sum())
         self._since_refresh = 0
 
 

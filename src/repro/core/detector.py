@@ -10,10 +10,9 @@ maintains:
   the detector can report the start of every period instance (the
   segmentation used by the SelfAnalyzer).
 
-The incremental profile update costs O(M) per sample (a handful of
-vectorised NumPy operations over contiguous slices of the ring buffer —
-the steady-state path never materialises the full data window), which is
-what makes the detector cheap enough to run inside a live application
+The incremental profile update costs O(M) per sample (one
+:func:`repro.kernels.magnitude_advance_sums` step over the ring), which
+is what makes the detector cheap enough to run inside a live application
 (Table 3 of the paper measures exactly this per-sample cost).  The only
 full-window pass is the exact recompute every ``refresh_interval`` samples
 that cancels floating-point drift — and it is skipped while the window
@@ -21,6 +20,11 @@ holds only exact samples (integers with ``|x| <= 2**52 / (N + 1)``, the
 paper's ``long sample``): every incremental add and subtract is then
 exact integer arithmetic, so the running sums already equal the
 recompute bit for bit.
+
+The incremental AMDF state and its operations are written once, over
+rows, in :class:`AmdfRows`: the detector is one row of it and the
+lockstep bank :class:`repro.service.soa.MagnitudeSoABank` one row per
+stream.
 
 The detector implements the :class:`~repro.core.engine.DetectorEngine`
 protocol (``update`` / ``update_batch`` / ``profile`` / ``snapshot`` /
@@ -36,13 +40,15 @@ from typing import Sequence
 import numpy as np
 
 from repro import kernels
-from repro.core.distance import amdf_pair_sums, amdf_profile
+from repro.core.distance import amdf_pair_sums_batch, amdf_profile
 from repro.core.engine import DetectionResult, LockTracker, tag_snapshot, validate_snapshot
 from repro.core.minima import PeriodCandidate, select_period
 from repro.core.window import AdaptiveWindowPolicy
+from repro.util.ringbuffer import read_ring, write_ring
 from repro.util.validation import ValidationError, check_in_range, check_positive_int
 
 __all__ = [
+    "AmdfRows",
     "DetectionResult",
     "DetectorConfig",
     "DynamicPeriodicityDetector",
@@ -150,7 +156,143 @@ class DetectorConfig:
         return self.max_lag if self.max_lag is not None else self.window_size - 1
 
 
-class DynamicPeriodicityDetector:
+class AmdfRows:
+    """The incremental AMDF state of magnitude mode, over rows.
+
+    ``_buffers`` holds ``(rows, N)`` rings (``_head`` the next write
+    slot, ``_fill`` samples each) and ``_sums`` their ``(rows, M + 1)``
+    running sums: ``_sums[r, m]`` is the sum of ``|x[n] - x[n-m]|`` over
+    the pairs inside row ``r``'s window.  ``_index`` is the last consumed
+    sample and ``_since_refresh`` counts the samples since the last
+    refresh boundary.  :class:`DynamicPeriodicityDetector` is one row
+    and :class:`repro.service.soa.MagnitudeSoABank` one row per stream;
+    both advance, derive profiles, refresh and snapshot through these
+    methods.
+    """
+
+    config: DetectorConfig
+
+    @property
+    def samples_seen(self) -> int:
+        """Samples consumed so far (per row)."""
+        return self._index + 1
+
+    def _allocate_rows(
+        self, rows: int, window_size: int, max_lag: int, chunk: int
+    ) -> None:
+        """Empty rings and zeroed sums for ``N = window_size``,
+        ``M = max_lag``, advanced by up to ``chunk`` columns at a time."""
+        self._fill = 0
+        self._head = 0
+        self._index = -1
+        self._since_refresh = 0
+        self._window_size = window_size
+        self._max_lag = max_lag
+        self._exact_bound = exact_sample_bound(window_size)
+        self._buffers = np.zeros((rows, window_size), dtype=np.float64)
+        self._sums = np.zeros((rows, max_lag + 1), dtype=np.float64)
+        # The rings' contents (oldest first) + the incoming columns.
+        self._ext_scratch = np.empty(rows * (window_size + chunk), dtype=np.float64)
+
+    def _advance_rows(self, cols: np.ndarray) -> None:
+        """Push the ``(rows, length)`` columns ``cols``; advance the sums.
+
+        One :func:`repro.kernels.magnitude_advance_sums` call over the
+        rings' contents followed by ``cols``, laid out C-contiguous in
+        the flat scratch: the argument types :func:`repro.kernels.warmup`
+        compiles, in a filling window or a full one.
+        """
+        rows, length = cols.shape
+        fill = self._fill
+        width = fill + length
+        if width > 1:  # a lone first sample has no pair to add
+            ext = self._ext_scratch[: rows * width].reshape(rows, width)
+            read_ring(self._buffers, self._head, fill, cols, ext)
+            kernels.magnitude_advance_sums(self._sums, ext, fill, self._window_size)
+        self._head = write_ring(self._buffers, self._head, cols)
+        self._fill = min(self._window_size, width)
+        self._index += length
+        self._since_refresh += length
+
+    def _evaluation_ready(self) -> bool:
+        """Whether the window holds enough samples to evaluate."""
+        cfg = self.config
+        return self._fill >= max(
+            2 * cfg.min_lag, min(cfg.min_fill, self._window_size)
+        )
+
+    def _profile_rows(self, out: np.ndarray) -> np.ndarray:
+        """Every row's ``d(m)`` from its running sums, written into ``out``.
+
+        Only the evaluated lag band ``[min_lag, min(M, fill - 1)]`` is
+        written: ``d(m) = sums[m] / (fill - m)``, the mean over the pairs
+        the window holds at lag ``m``.  Returns ``out``.
+        """
+        fill = self._fill
+        lo = self.config.min_lag
+        hi = min(self._max_lag, fill - 1)
+        if hi >= lo:
+            pairs = np.arange(fill - lo, fill - hi - 1, -1, dtype=np.float64)
+            np.divide(self._sums[:, lo : hi + 1], pairs, out=out[:, lo : hi + 1])
+        return out
+
+    def _refresh_rows(self, rows: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Exact recompute of the sums of ``rows`` (the drift guard).
+
+        One batched :func:`~repro.core.distance.amdf_pair_sums_batch`
+        pass over those rows' windows.  Returns their exact flags: a
+        recomputed row may skip the next recompute only if its window is
+        all exact samples, since a float sample still in it would leave
+        rounding behind when the incremental path later evicts it.
+        """
+        windows = read_ring(self._buffers[rows], self._head, self._fill)
+        top = min(self._max_lag, self._fill - 1)
+        self._sums[rows] = 0.0
+        if top >= 1:
+            self._sums[rows, : top + 1] = amdf_pair_sums_batch(windows, top)
+        return exact_rows(windows, self._exact_bound)
+
+    def _snapshot_row(self, pos: int, samples_since_growth: int, lock: dict) -> dict:
+        """Engine-format snapshot of row ``pos`` (see ``DetectorEngine``)."""
+        return tag_snapshot({
+            "kind": "magnitude",
+            "window_size": self._window_size,
+            "max_lag": self._max_lag,
+            "buffer": self._buffers[pos].copy(),
+            "fill": self._fill,
+            "head": self._head,
+            "index": self._index,
+            "sums": self._sums[pos].copy(),
+            "since_refresh": self._since_refresh,
+            "samples_since_growth": samples_since_growth,
+            "lock": lock,
+        })
+
+    def _restore_row(self, pos: int, state: dict) -> dict:
+        """Write row ``pos`` from a snapshot made by :meth:`_snapshot_row`;
+        returns its lock state.
+
+        The rows share ``head``/``fill``/``index``, so the snapshot must
+        be in lockstep with them (same sample count and window geometry).
+        """
+        validate_snapshot(state, expected_kind="magnitude")
+        if (
+            int(state["window_size"]) != self._window_size
+            or int(state["max_lag"]) != self._max_lag
+            or int(state["fill"]) != self._fill
+            or int(state["head"]) != self._head
+            or int(state["index"]) != self._index
+        ):
+            raise ValidationError(
+                "snapshot is not in lockstep with the bank "
+                "(window/fill/head/index mismatch)"
+            )
+        self._buffers[pos] = np.asarray(state["buffer"], dtype=np.float64)
+        self._sums[pos] = np.asarray(state["sums"], dtype=np.float64)
+        return state["lock"]
+
+
+class DynamicPeriodicityDetector(AmdfRows):
     """Streaming periodicity detector for magnitude data series (eq. 1).
 
     Examples
@@ -172,21 +314,12 @@ class DynamicPeriodicityDetector:
         # Selection dispatches through the kernel registry: compile (when
         # numba is active) now, never inside the first evaluating update.
         kernels.warmup()
-        self._window_size = config.window_size
-        self._max_lag = config.effective_max_lag
-        self._buffer = np.zeros(self._window_size, dtype=np.float64)
-        self._fill = 0
-        self._head = 0  # next write slot
-        self._index = -1  # index of the last consumed sample
-        # Incremental AMDF state: sums[m] is the running sum of |x[n]-x[n-m]|
-        # over the pairs currently inside the window.
-        self._sums = np.zeros(self._max_lag + 1, dtype=np.float64)
-        self._since_refresh = 0
+        self._allocate_rows(1, config.window_size, config.effective_max_lag, 1)
+        self._col = np.empty((1, 1), dtype=np.float64)  # the sample, as a column
         # True while every sample in the window since the last executed
         # recompute is exact: the refresh is then a no-op and is skipped.
         # Never snapshotted — a restored detector starts "not exact".
         self._exact = True
-        self._exact_bound = exact_sample_bound(self._window_size)
         self._lock = LockTracker(config.loss_patience)
         self._samples_since_growth = 0
 
@@ -197,11 +330,6 @@ class DynamicPeriodicityDetector:
     def window_size(self) -> int:
         """Current data-window size ``N``."""
         return self._window_size
-
-    @property
-    def samples_seen(self) -> int:
-        """Total number of samples processed."""
-        return self._index + 1
 
     @property
     def current_period(self) -> int | None:
@@ -220,20 +348,17 @@ class DynamicPeriodicityDetector:
         """Resize the data window, keeping the newest samples."""
         check_positive_int(size, "size")
         kept = self.window_values()[-size:]
-        self._window_size = size
-        self._exact_bound = exact_sample_bound(size)
-        self._max_lag = min(self.config.effective_max_lag, size - 1)
-        self._buffer = np.zeros(size, dtype=np.float64)
+        index = self._index
+        self._allocate_rows(1, size, min(self.config.effective_max_lag, size - 1), 1)
+        self._index = index
         self._fill = kept.size
-        self._buffer[: kept.size] = kept
+        self._buffers[0, : kept.size] = kept
         self._head = kept.size % size
         self._rebuild_sums()
 
     def window_values(self) -> np.ndarray:
         """Samples currently in the window, oldest first."""
-        if self._fill < self._window_size:
-            return self._buffer[: self._fill].copy()
-        return np.concatenate((self._buffer[self._head :], self._buffer[: self._head]))
+        return read_ring(self._buffers[0], self._head, self._fill)
 
     # ------------------------------------------------------------------
     # profile access
@@ -260,29 +385,14 @@ class DynamicPeriodicityDetector:
 
     def _incremental_profile(self) -> np.ndarray:
         """``d(m)`` derived from the incrementally maintained sums."""
-        profile = np.full(self._max_lag + 1, np.nan, dtype=np.float64)
-        fill = self._fill
-        lags = np.arange(self.config.min_lag, min(self._max_lag, fill - 1) + 1)
-        if lags.size == 0:
-            return profile
-        pairs = fill - lags
-        profile[lags] = self._sums[lags] / pairs
-        return profile
+        profile = np.full((1, self._max_lag + 1), np.nan, dtype=np.float64)
+        return self._profile_rows(profile)[0]
 
     def _rebuild_sums(self) -> None:
-        """Exact recompute of the AMDF sums (the only full-window pass).
-
-        Re-arms the exact-window skip only if this window is all exact
-        samples: a float sample still in the window would leave rounding
-        behind when the incremental path later evicts it.
-        """
-        window = self.window_values()
-        self._sums = np.zeros(self._max_lag + 1, dtype=np.float64)
-        top = min(self._max_lag, window.size - 1)
-        if top >= 1:
-            self._sums[: top + 1] = amdf_pair_sums(window, top)
+        """Exact recompute of the AMDF sums (the only full-window pass);
+        re-arms the exact-window skip as :meth:`_refresh_rows` says."""
         self._since_refresh = 0
-        self._exact = bool(exact_rows(window, self._exact_bound))
+        self._exact = bool(self._refresh_rows([0])[0])
 
     # ------------------------------------------------------------------
     # streaming update
@@ -294,44 +404,10 @@ class DynamicPeriodicityDetector:
             sample.is_integer() and abs(sample) <= self._exact_bound
         ):
             self._exact = False
-        self._index += 1
         self._samples_since_growth += 1
+        self._col[0, 0] = sample
+        self._advance_rows(self._col)
 
-        # --- maintain the incremental AMDF sums -------------------------
-        # All reads below are contiguous slices of the ring buffer (views,
-        # no full-window copy).  The last ``m`` samples in reverse
-        # chronological order occupy slots head-1, head-2, ... head-m
-        # (mod N); the pairs evicted with the oldest sample pair it with
-        # slots head+1 ... head+m (mod N).
-        buf = self._buffer
-        head = self._head
-        fill = self._fill
-        sums = self._sums
-        if fill:
-            m = min(self._max_lag, fill)
-            if m <= head:
-                sums[1 : m + 1] += np.abs(sample - buf[head - m : head][::-1])
-            else:
-                if head:
-                    sums[1 : head + 1] += np.abs(sample - buf[head - 1 :: -1])
-                tail = m - head
-                sums[head + 1 : m + 1] += np.abs(sample - buf[-1 : -tail - 1 : -1])
-        if fill == self._window_size:
-            evicted = buf[head]
-            m = min(self._max_lag, fill - 1)
-            first = min(m, fill - 1 - head)
-            if first:
-                sums[1 : first + 1] -= np.abs(buf[head + 1 : head + 1 + first] - evicted)
-            if m > first:
-                sums[first + 1 : m + 1] -= np.abs(buf[: m - first] - evicted)
-
-        # --- store the sample -------------------------------------------
-        buf[head] = sample
-        self._head = (head + 1) % self._window_size
-        if fill < self._window_size:
-            self._fill = fill + 1
-
-        self._since_refresh += 1
         if self._since_refresh >= self.config.refresh_interval:
             if self._exact:
                 self._since_refresh = 0
@@ -340,10 +416,8 @@ class DynamicPeriodicityDetector:
 
         # --- evaluate the profile ----------------------------------------
         new_detection = False
-        ready = self._fill >= max(
-            2 * self.config.min_lag, min(self.config.min_fill, self._window_size)
-        )
-        if (self._index % self.config.evaluation_interval) == 0 and ready:
+        due = (self._index % self.config.evaluation_interval) == 0
+        if due and self._evaluation_ready():
             candidate = self._evaluate()
             new_detection = self._lock.apply(candidate, self._index)
             if new_detection:
@@ -396,35 +470,20 @@ class DynamicPeriodicityDetector:
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
         """Complete detector state; reinstate with :meth:`restore`."""
-        return tag_snapshot({
-            "kind": "magnitude",
-            "window_size": self._window_size,
-            "max_lag": self._max_lag,
-            "buffer": self._buffer.copy(),
-            "fill": self._fill,
-            "head": self._head,
-            "index": self._index,
-            "sums": self._sums.copy(),
-            "since_refresh": self._since_refresh,
-            "samples_since_growth": self._samples_since_growth,
-            "lock": self._lock.snapshot(),
-        })
+        return self._snapshot_row(0, self._samples_since_growth, self._lock.snapshot())
 
     def restore(self, state: dict) -> None:
-        """Reinstate a state produced by :meth:`snapshot`."""
+        """Reinstate a state produced by :meth:`snapshot`: adopt its
+        window geometry and position, then read its row."""
         validate_snapshot(state, expected_kind="magnitude")
-        self._window_size = int(state["window_size"])
-        self._max_lag = int(state["max_lag"])
-        self._buffer = np.array(state["buffer"], dtype=np.float64, copy=True)
+        self._allocate_rows(1, int(state["window_size"]), int(state["max_lag"]), 1)
         self._fill = int(state["fill"])
         self._head = int(state["head"])
         self._index = int(state["index"])
-        self._sums = np.array(state["sums"], dtype=np.float64, copy=True)
+        self._lock.restore(self._restore_row(0, state))
         self._since_refresh = int(state["since_refresh"])
-        self._exact = False
-        self._exact_bound = exact_sample_bound(self._window_size)
         self._samples_since_growth = int(state["samples_since_growth"])
-        self._lock.restore(state["lock"])
+        self._exact = False
 
     # ------------------------------------------------------------------
     def process(self, stream: Sequence[float] | np.ndarray) -> list[DetectionResult]:

@@ -27,7 +27,7 @@ protocol (``update`` / ``update_batch`` / ``profile`` / ``snapshot`` /
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,7 +37,13 @@ from repro.core.engine import DetectionResult, tag_snapshot, validate_snapshot
 from repro.util.ringbuffer import read_ring, write_ring
 from repro.util.validation import ValidationError, check_positive_int
 
-__all__ = ["EventDetectorConfig", "EventPeriodicityDetector"]
+__all__ = [
+    "EventDetectorConfig",
+    "EventPeriodicityDetector",
+    "EventRow",
+    "read_row",
+    "snapshot_row",
+]
 
 
 @dataclass
@@ -335,37 +341,35 @@ class EventPeriodicityDetector:
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
         """Complete detector state; reinstate with :meth:`restore`."""
-        return tag_snapshot({
-            "kind": "event",
-            "window_size": self._window_size,
-            "max_lag": self._max_lag,
-            "buffer": self._buffer.copy(),
-            "fill": self._fill,
-            "head": self._head,
-            "index": self._index,
-            "mismatches": self._mismatches.copy(),
-            "locked_period": self._locked_period,
-            "anchor": self._anchor,
-            "anchor_value": self._anchor_value,
-            "misses": self._misses,
-            "detected_periods": dict(self._detected_periods),
-        })
+        return snapshot_row(
+            self._buffer[None, :],
+            self._mismatches[None, :],
+            0,
+            self._fill,
+            self._head,
+            self._index,
+            self._locked_period,
+            self._anchor,
+            self._anchor_value,
+            self._misses,
+            self._detected_periods,
+        )
 
     def restore(self, state: dict) -> None:
         """Reinstate a state produced by :meth:`snapshot`."""
-        validate_snapshot(state, expected_kind="event")
-        self._window_size = int(state["window_size"])
-        self._max_lag = int(state["max_lag"])
-        self._buffer = np.array(state["buffer"], dtype=np.int64, copy=True)
-        self._fill = int(state["fill"])
-        self._head = int(state["head"])
-        self._index = int(state["index"])
-        self._mismatches = np.array(state["mismatches"], dtype=np.int64, copy=True)
-        self._locked_period = state["locked_period"]
-        self._anchor = state["anchor"]
-        self._anchor_value = int(state["anchor_value"])
-        self._misses = int(state["misses"])
-        self._detected_periods = dict(state["detected_periods"])
+        row = read_row(state)
+        self._window_size = row.buffer.size
+        self._max_lag = row.mismatches.size - 1
+        self._buffer = row.buffer
+        self._mismatches = row.mismatches
+        self._fill = row.fill
+        self._head = row.head
+        self._index = row.index
+        self._locked_period = row.locked_period
+        self._anchor = row.anchor
+        self._anchor_value = row.anchor_value
+        self._misses = row.misses
+        self._detected_periods = row.detected_periods
 
     # ------------------------------------------------------------------
     def process(self, stream: Sequence[int] | np.ndarray) -> list[DetectionResult]:
@@ -375,6 +379,79 @@ class EventPeriodicityDetector:
     def reset(self) -> None:
         """Forget all events and detections; keep the configuration."""
         self.__init__(self.config)
+
+
+def snapshot_row(
+    buffers: np.ndarray,
+    mismatches: np.ndarray,
+    pos: int,
+    fill: int,
+    head: int,
+    index: int,
+    period: int | None,
+    anchor: int | None,
+    anchor_value: int,
+    misses: int,
+    detected: dict[int, int],
+) -> dict:
+    """Engine-format snapshot of row ``pos`` of ``(rows, N)`` rings and
+    their ``(rows, M + 1)`` counts, shared by the detector and
+    :class:`repro.service.event_soa.EventSoABank`.  No lock is
+    ``period`` ``None`` or 0 and ``anchor`` ``None`` or negative."""
+    return tag_snapshot({
+        "kind": "event",
+        "window_size": buffers.shape[1],
+        "max_lag": mismatches.shape[1] - 1,
+        "buffer": buffers[pos].copy(),
+        "fill": fill,
+        "head": head,
+        "index": index,
+        "mismatches": mismatches[pos].copy(),
+        "locked_period": int(period) if period else None,
+        "anchor": int(anchor) if anchor is not None and anchor >= 0 else None,
+        "anchor_value": int(anchor_value),
+        "misses": int(misses),
+        "detected_periods": dict(detected),
+    })
+
+
+class EventRow(NamedTuple):
+    """One row's state, as :func:`read_row` reads it from a snapshot."""
+
+    buffer: np.ndarray
+    mismatches: np.ndarray
+    fill: int
+    head: int
+    index: int
+    locked_period: int | None
+    anchor: int | None
+    anchor_value: int
+    misses: int
+    detected_periods: dict[int, int]
+
+
+def read_row(state: dict) -> EventRow:
+    """Validate a snapshot made by :func:`snapshot_row` and read it."""
+    validate_snapshot(state, expected_kind="event")
+    row = EventRow(
+        np.array(state["buffer"], dtype=np.int64),
+        np.array(state["mismatches"], dtype=np.int64),
+        int(state["fill"]),
+        int(state["head"]),
+        int(state["index"]),
+        state["locked_period"],
+        state["anchor"],
+        int(state["anchor_value"]),
+        int(state["misses"]),
+        dict(state["detected_periods"]),
+    )
+    if row.buffer.shape != (int(state["window_size"]),) or row.mismatches.shape != (
+        int(state["max_lag"]) + 1,
+    ):
+        raise ValidationError(
+            "snapshot buffer/mismatches do not match window_size/max_lag"
+        )
+    return row
 
 
 def _as_events(samples: Sequence[int] | np.ndarray) -> np.ndarray:

@@ -185,9 +185,9 @@ def set_backend(name: str) -> str:
 # ----------------------------------------------------------------------
 # dispatch
 # ----------------------------------------------------------------------
-def magnitude_advance_sums(sums, ext, window, length):
+def magnitude_advance_sums(sums, ext, fill, window):
     """Chunked magnitude AMDF insert/evict recurrence (in place)."""
-    _resolve().magnitude_advance_sums(sums, ext, window, length)
+    _resolve().magnitude_advance_sums(sums, ext, fill, window)
 
 
 def refresh_sums(windows, sums):
@@ -235,10 +235,11 @@ def warmup() -> str:
     name = backend_name()
     if name in _warmed:
         return name
-    # Magnitude: (streams=1, max_lag=2) sums over a window of 4 + 2 cols.
+    # Magnitude: (streams=1, max_lag=2) sums, a ring of 2 filling up to 4
+    # within the chunk, so the filling and full-window paths both compile.
     sums = np.zeros((1, 3), dtype=np.float64)
     ext = np.linspace(0.0, 1.0, 6, dtype=np.float64)[None, :]
-    impl.magnitude_advance_sums(sums, ext, 4, 2)
+    impl.magnitude_advance_sums(sums, ext, 2, 4)
     impl.refresh_sums(ext, sums)
     # Events: a ring of 3 filling up to 4 within the chunk, so the
     # insert, evict and filling paths all compile.

@@ -31,27 +31,31 @@ import numpy as np
 
 
 def magnitude_advance_sums(
-    sums: np.ndarray, ext: np.ndarray, window: int, length: int
+    sums: np.ndarray, ext: np.ndarray, fill: int, window: int
 ) -> None:
-    """Advance the incremental AMDF sums of a full-window bank by a chunk.
+    """Advance the incremental AMDF sums of ``rows`` rings by a chunk.
 
-    ``ext`` is the chunk's extended sample matrix — the ring contents
-    oldest-first followed by the ``length`` incoming lockstep columns —
-    and ``sums`` is the bank's ``(streams, max_lag + 1)`` running-sum
-    matrix, updated in place.  Step ``t`` inserts ``ext[s, window + t]``
-    and evicts ``ext[s, t]``; per element the add is applied before the
+    ``ext`` is the chunk's extended sample matrix — each row's ring
+    contents oldest-first (``fill`` samples, ``fill <= window``) followed
+    by the incoming samples — and ``sums`` is the ``(rows, max_lag + 1)``
+    running-sum matrix (``max_lag < window``), updated in place.  The
+    sample at ``ext[s, p]`` pairs with the ``min(max_lag, p)`` samples
+    before it and, once the ring is full (``p >= window``), evicts
+    ``ext[s, p - window]``; per element the add is applied before the
     evict, exactly as each step of the NumPy reference applies them, so
-    the float state stays bit-for-bit the scalar engine's.
+    every backend's float state is bit-for-bit the same.
     """
-    streams = sums.shape[0]
+    rows = sums.shape[0]
     top = sums.shape[1] - 1
-    for s in range(streams):
-        for t in range(length):
-            inserted = ext[s, window + t]
-            evicted = ext[s, t]
-            for lag in range(1, top + 1):
-                grown = sums[s, lag] + abs(inserted - ext[s, window + t - lag])
-                sums[s, lag] = grown - abs(ext[s, t + lag] - evicted)
+    for s in range(rows):
+        for p in range(fill, ext.shape[1]):
+            inserted = ext[s, p]
+            old = p - window
+            for lag in range(1, min(top, p) + 1):
+                grown = sums[s, lag] + abs(inserted - ext[s, p - lag])
+                if old >= 0:
+                    grown = grown - abs(ext[s, old + lag] - ext[s, old])
+                sums[s, lag] = grown
 
 
 def event_advance_counts(

@@ -4,9 +4,10 @@ This backend is the portable fallback of the registry in
 :mod:`repro.kernels` — always importable, no compiled dependencies —
 and the *reference* the compiled backends are held to: the equivalence
 contract is bit-for-bit against these functions.  They in turn are held
-to test-side oracles written as plain loops: the scalar engine for the
-AMDF recurrence (``tests/service/test_soa.py``), the literal per-step
-window recount ``tests/_event_oracle.py`` for the event counts
+to test-side oracles written as plain loops: the per-sample replay
+``tests/_amdf_oracle.py`` for the AMDF recurrence
+(``tests/kernels/test_equivalence.py``), the literal per-step window
+recount ``tests/_event_oracle.py`` for the event counts
 (``tests/kernels/test_event_advance_counts.py``), the literal pair-sum
 reference ``tests/_refresh_oracle.py`` for the refresh
 (``tests/kernels/test_refresh_sums.py``) and the literal selection
@@ -40,36 +41,43 @@ __all__ = [
 # (a) chunked magnitude AMDF insert/evict recurrence
 # ----------------------------------------------------------------------
 def magnitude_advance_sums(
-    sums: np.ndarray, ext: np.ndarray, window: int, length: int
+    sums: np.ndarray, ext: np.ndarray, fill: int, window: int
 ) -> None:
-    """Advance the incremental AMDF sums of a full-window bank by a chunk.
+    """Advance the incremental AMDF sums of ``rows`` rings by a chunk.
 
     The per-step recurrence of the ``_source.py`` loop body, vectorised
-    over ``(rows, lags)``: step ``t`` adds ``|x_new - x_prev(lag)|`` for
-    ``x_new = ext[:, window + t]``, then subtracts
-    ``|x_old(lag) - x_evicted|`` for ``x_evicted = ext[:, t]``.  Both
-    terms pass through one ``(rows, max_lag)`` scratch, so the working
-    set is independent of the chunk length; same operands, same order,
-    bit-for-bit the arithmetic of the scalar engine's per-sample update.
-    The insert term is computed oldest-first and added through a
-    reversed view: NumPy's SIMD and scalar loops propagate a NaN
-    operand's sign differently, and this layout keeps even NaN bits equal
-    to those of the strided ``(rows, chunk, lags)`` formulation.
+    over ``(rows, lags)``: the new sample ``x_new = ext[:, p]`` (``p``
+    from ``fill`` on) adds ``|x_new - x_prev(lag)|`` for the
+    ``min(top, p)`` lags it has a partner for, then, once the ring is
+    full (``p >= window``), the evicted ``ext[:, p - window]`` subtracts
+    ``|x_old(lag) - x_evicted|``.  Both terms pass through one
+    ``(rows, max_lag)`` scratch, so the working set is independent of
+    the chunk length.  The insert term is computed oldest-first and
+    added through a reversed view: NumPy's SIMD and scalar loops
+    propagate a NaN operand's sign differently, and this layout keeps
+    even NaN bits equal to those of the strided ``(rows, chunk, lags)``
+    formulation.
     """
     top = sums.shape[1] - 1
-    body = sums[:, 1 : top + 1]
+    body = sums[:, 1:]
     scratch = np.empty_like(body)
-    for t in range(length):
-        new = window + t
-        # Insert: scratch column k pairs x_new with ext[:, new - top + k],
-        # so lag m is column top - m, read reversed.
-        np.subtract(ext[:, new : new + 1], ext[:, new - top : new], out=scratch)
-        np.abs(scratch, out=scratch)
-        np.add(body, scratch[:, ::-1], out=body)
-        # Evict: column m - 1 (lag m) pairs ext[:, t + m] with x_evicted.
-        np.subtract(ext[:, t + 1 : t + top + 1], ext[:, t : t + 1], out=scratch)
-        np.abs(scratch, out=scratch)
-        np.subtract(body, scratch, out=body)
+    for p in range(fill, ext.shape[1]):
+        # Insert: scratch column k pairs x_new with ext[:, p - m + k], so
+        # lag j is column m - j, read reversed.
+        m = min(top, p)
+        ins = scratch[:, :m]
+        np.subtract(ext[:, p : p + 1], ext[:, p - m : p], out=ins)
+        np.abs(ins, out=ins)
+        acc = body[:, :m]
+        np.add(acc, ins[:, ::-1], out=acc)
+        if p >= window:
+            # Evict: column j - 1 (lag j) pairs ext[:, old + j] with
+            # x_evicted = ext[:, old].
+            old = p - window
+            lagged = ext[:, old + 1 : old + top + 1]
+            np.subtract(lagged, ext[:, old : old + 1], out=scratch)
+            np.abs(scratch, out=scratch)
+            np.subtract(body, scratch, out=body)
 
 
 # ----------------------------------------------------------------------

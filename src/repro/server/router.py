@@ -69,7 +69,7 @@ from __future__ import annotations
 import asyncio
 import time
 import urllib.parse
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -95,7 +95,7 @@ from repro.server.frontend import (
     stream_list,
 )
 from repro.server.protocol import Frame, FrameType, ProtocolError
-from repro.service.events import PeriodStartEvent
+from repro.service.events import PeriodStartEvent, PoolStats
 from repro.service.sharding import HashRing
 from repro.util.logging import get_logger
 from repro.util.validation import ValidationError, check_positive_int
@@ -892,32 +892,11 @@ class DetectionRouter(Frontend):
                 per_backend[backend] = await self._on_link(conn, backend, op)
             except (ConnectionError, OSError):
                 per_backend[backend] = {"error": "backend unavailable"}
-        pools = [b["pool"] for b in per_backend.values() if "pool" in b]
-        # kernel_backend / lockstep_backend merge exactly like the
-        # sharded-pool stats merge: one value when the fleet agrees,
-        # "mixed" on disagreement, None when never reported.
-        lockstep = {p.get("lockstep_backend") for p in pools} - {None}
-        kernels = {p.get("kernel_backend") for p in pools} - {None}
-        modes = {p.get("mode") for p in pools} - {None}
-        merged_pool = {
-            "streams": sum(p.get("streams", 0) for p in pools),
-            "created": sum(p.get("created", 0) for p in pools),
-            "evicted": sum(p.get("evicted", 0) for p in pools),
-            "total_samples": sum(p.get("total_samples", 0) for p in pools),
-            "total_events": sum(p.get("total_events", 0) for p in pools),
-            "locked_streams": sum(p.get("locked_streams", 0) for p in pools),
-            "mode": modes.pop() if len(modes) == 1 else ("mixed" if modes else None),
-            "lockstep_backend": (
-                lockstep.pop()
-                if len(lockstep) == 1
-                else ("mixed" if lockstep else None)
-            ),
-            "kernel_backend": (
-                kernels.pop() if len(kernels) == 1 else ("mixed" if kernels else None)
-            ),
-        }
+        merged_pool = PoolStats.merge(
+            PoolStats(**b["pool"]) for b in per_backend.values() if "pool" in b
+        )
         result: dict = {
-            "pool": merged_pool,
+            "pool": asdict(merged_pool),
             "server": {
                 "router": {
                     "backends": sorted(self._backends),

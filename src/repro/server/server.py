@@ -66,7 +66,7 @@ import asyncio
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -1132,21 +1132,7 @@ class DetectionServer(Frontend):
             server_stats["restore"] = self.restore_stats
 
         def run() -> dict:
-            pool_stats = self.facade.stats()
-            result = {
-                "pool": {
-                    "streams": pool_stats.streams,
-                    "created": pool_stats.created,
-                    "evicted": pool_stats.evicted,
-                    "total_samples": pool_stats.total_samples,
-                    "total_events": pool_stats.total_events,
-                    "locked_streams": pool_stats.locked_streams,
-                    "mode": pool_stats.mode,
-                    "lockstep_backend": pool_stats.lockstep_backend,
-                    "kernel_backend": pool_stats.kernel_backend,
-                },
-                "server": server_stats,
-            }
+            result = {"pool": asdict(self.facade.stats()), "server": server_stats}
             if include_periods:
                 result["periods"] = {
                     sid[len(prefix) :]: period

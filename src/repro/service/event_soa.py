@@ -31,8 +31,12 @@ from typing import Sequence
 import numpy as np
 
 from repro import kernels
-from repro.core.engine import tag_snapshot, validate_snapshot
-from repro.core.events import EventDetectorConfig, EventPeriodicityDetector
+from repro.core.events import (
+    EventDetectorConfig,
+    EventPeriodicityDetector,
+    read_row,
+    snapshot_row,
+)
 from repro.util.ringbuffer import read_ring, write_ring
 from repro.util.validation import ValidationError
 
@@ -262,23 +266,19 @@ class EventSoABank:
     # ------------------------------------------------------------------
     def snapshot_stream(self, pos: int) -> dict:
         """Engine-format snapshot of one stream (see ``DetectorEngine``)."""
-        period = int(self._periods[pos])
-        anchor = int(self._anchors[pos])
-        return tag_snapshot({
-            "kind": "event",
-            "window_size": self._window_size,
-            "max_lag": self._max_lag,
-            "buffer": self._buffers[pos].copy(),
-            "fill": self._fill,
-            "head": self._head,
-            "index": self._index,
-            "mismatches": self._mismatches[pos].copy(),
-            "locked_period": period if period else None,
-            "anchor": anchor if anchor >= 0 else None,
-            "anchor_value": int(self._anchor_values[pos]),
-            "misses": int(self._misses[pos]),
-            "detected_periods": dict(self._detected[pos]),
-        })
+        return snapshot_row(
+            self._buffers,
+            self._mismatches,
+            pos,
+            self._fill,
+            self._head,
+            self._index,
+            self._periods[pos],
+            self._anchors[pos],
+            self._anchor_values[pos],
+            self._misses[pos],
+            self._detected[pos],
+        )
 
     def restore_stream(self, pos: int, state: dict) -> None:
         """Reinstate one stream's row from an engine-format snapshot.
@@ -288,27 +288,23 @@ class EventSoABank:
         event count and window geometry) — e.g. the round trip
         ``snapshot_stream`` -> standalone engine -> ``snapshot`` -> back.
         """
-        validate_snapshot(state, expected_kind="event")
+        row = read_row(state)
         if (
-            int(state["window_size"]) != self._window_size
-            or int(state["max_lag"]) != self._max_lag
-            or int(state["fill"]) != self._fill
-            or int(state["head"]) != self._head
-            or int(state["index"]) != self._index
+            row.buffer.size != self._window_size
+            or row.mismatches.size != self._max_lag + 1
+            or (row.fill, row.head, row.index) != (self._fill, self._head, self._index)
         ):
             raise ValidationError(
                 "snapshot is not in lockstep with the bank "
                 "(window/fill/head/index mismatch)"
             )
-        self._buffers[pos] = np.asarray(state["buffer"], dtype=np.int64)
-        self._mismatches[pos] = np.asarray(state["mismatches"], dtype=np.int64)
-        period = state["locked_period"]
-        anchor = state["anchor"]
-        self._periods[pos] = period if period is not None else 0
-        self._anchors[pos] = anchor if anchor is not None else -1
-        self._anchor_values[pos] = int(state["anchor_value"])
-        self._misses[pos] = int(state["misses"])
-        self._detected[pos] = dict(state["detected_periods"])
+        self._buffers[pos] = row.buffer
+        self._mismatches[pos] = row.mismatches
+        self._periods[pos] = row.locked_period or 0
+        self._anchors[pos] = row.anchor if row.anchor is not None else -1
+        self._anchor_values[pos] = row.anchor_value
+        self._misses[pos] = row.misses
+        self._detected[pos] = row.detected_periods
 
     def to_engine(self, pos: int) -> EventPeriodicityDetector:
         """Materialise the stream at row ``pos`` as a standalone engine."""

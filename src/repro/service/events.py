@@ -11,6 +11,7 @@ monitoring and benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 __all__ = ["PeriodStartEvent", "PoolStats", "StreamStats"]
 
@@ -85,3 +86,34 @@ class PoolStats:
     """Active :mod:`repro.kernels` backend (``"numba"``, ``"numpy"`` or
     ``"python"``) so the perf trajectory records what actually ran;
     ``None`` only in stats merged from workers that predate the field."""
+
+    @classmethod
+    def merge(cls, parts: Iterable["PoolStats"]) -> "PoolStats":
+        """One summary of several pools (shards, or a router's backends).
+
+        Counters are summed.  ``mode``, ``lockstep_backend`` and
+        ``kernel_backend`` keep the one value the parts report,
+        ``"mixed"`` when they disagree and ``None`` when none reports one.
+        """
+        parts = list(parts)
+
+        def label(name: str):
+            values = {getattr(p, name) for p in parts} - {None}
+            if len(values) == 1:
+                return values.pop()
+            return "mixed" if values else None
+
+        def total(name: str) -> int:
+            return sum(getattr(p, name) for p in parts)
+
+        return cls(
+            streams=total("streams"),
+            created=total("created"),
+            evicted=total("evicted"),
+            total_samples=total("total_samples"),
+            total_events=total("total_events"),
+            locked_streams=total("locked_streams"),
+            mode=label("mode"),
+            lockstep_backend=label("lockstep_backend"),
+            kernel_backend=label("kernel_backend"),
+        )

@@ -1045,25 +1045,4 @@ class ShardedDetectorPool:
     def stats(self) -> PoolStats:
         """Aggregated pool statistics across all shards."""
         self._ensure_alive()
-        parts: list[PoolStats] = [shard.call("stats") for shard in self._shards]
-        backends = {p.lockstep_backend for p in parts} - {None}
-        kernel_backends = {p.kernel_backend for p in parts} - {None}
-        return PoolStats(
-            streams=sum(p.streams for p in parts),
-            created=sum(p.created for p in parts),
-            evicted=sum(p.evicted for p in parts),
-            total_samples=sum(p.total_samples for p in parts),
-            total_events=sum(p.total_events for p in parts),
-            locked_streams=sum(p.locked_streams for p in parts),
-            mode=self.config.mode,
-            lockstep_backend=(
-                backends.pop()
-                if len(backends) == 1
-                else ("mixed" if backends else None)
-            ),
-            kernel_backend=(
-                kernel_backends.pop()
-                if len(kernel_backends) == 1
-                else ("mixed" if kernel_backends else None)
-            ),
-        )
+        return PoolStats.merge(shard.call("stats") for shard in self._shards)

@@ -13,10 +13,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import _amdf_oracle as amdf_oracle
 import _selection_oracle as oracle
 from repro import kernels
 from repro.core import detector as detector_module
-from repro.core.detector import DetectorConfig, DynamicPeriodicityDetector
+from repro.core.detector import (
+    DetectorConfig,
+    DynamicPeriodicityDetector,
+    exact_sample_bound,
+)
 from repro.kernels import numpy_backend
 
 
@@ -93,6 +98,39 @@ class TestDetectorMatchesOracle:
     ):
         config = DetectorConfig(window_size=window_size, min_depth=min_depth)
         assert run(config, stream) == run_with_oracle(config, stream)
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_running_sums_match_the_amdf_oracle(self, kernel_backend, data):
+        # Filling and full windows, max_lag below window - 1, refresh
+        # boundaries inside the fill, exact-integer runs (the recompute
+        # skipped) and non-finite samples.
+        window = data.draw(st.integers(min_value=2, max_value=24), label="window")
+        max_lag = data.draw(st.integers(min_value=1, max_value=window - 1))
+        refresh = data.draw(st.integers(min_value=1, max_value=40), label="refresh")
+        bound = int(exact_sample_bound(window))
+        sample = st.one_of(
+            st.integers(min_value=-9, max_value=9).map(float),
+            st.sampled_from([bound, -bound, bound + 1]).map(float),
+            st.floats(min_value=-1e6, max_value=1e6),
+            st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 5e-324]),
+        )
+        stream = data.draw(st.lists(sample, min_size=1, max_size=3 * window))
+        config = DetectorConfig(
+            window_size=window,
+            max_lag=max_lag,
+            refresh_interval=refresh,
+            min_fill=min(8, window),
+        )
+        det = DynamicPeriodicityDetector(config)
+        with np.errstate(invalid="ignore"):
+            det.update_batch(stream)
+        expected = amdf_oracle.stream_sums(stream, window, max_lag, refresh)
+        assert amdf_oracle.same_bits(det.snapshot()["sums"], expected)
 
     def test_phase_jumps_reach_fast_path_b_and_the_slow_resolution(self, monkeypatch):
         # Noisy phase jumps leave competing minima: rows that fast path A

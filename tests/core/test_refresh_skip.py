@@ -51,15 +51,17 @@ def assert_same_run(config, stream):
 
 @pytest.fixture
 def recompute_calls(monkeypatch):
-    """Counts the recomputes the detector actually executes."""
+    """Counts the recomputes the detector actually executes (the window
+    length of each; ``AmdfRows._refresh_rows`` recomputes through the
+    batch)."""
     calls = []
-    real = detector_module.amdf_pair_sums
+    real = detector_module.amdf_pair_sums_batch
 
-    def counting(window, max_lag=None):
-        calls.append(len(window))
-        return real(window, max_lag)
+    def counting(windows, max_lag=None):
+        calls.append(windows.shape[1])
+        return real(windows, max_lag)
 
-    monkeypatch.setattr(detector_module, "amdf_pair_sums", counting)
+    monkeypatch.setattr(detector_module, "amdf_pair_sums_batch", counting)
     return calls
 
 

@@ -5,7 +5,9 @@ detector behaviour — float state included.  These tests drive each
 non-reference backend and the NumPy reference with the same inputs and
 require ``np.array_equal`` (no tolerance), including adversarial floats:
 denormals, exact ties in the minima selection, huge magnitudes and
-non-finite entries.
+non-finite entries.  The magnitude advance of every backend, the NumPy
+one included, is also held to the literal per-step replay of
+``tests/_amdf_oracle.py``, bit for bit up to NaN signs.
 """
 
 import numpy as np
@@ -13,9 +15,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import _amdf_oracle as amdf_oracle
 import _selection_oracle as oracle
 from repro import kernels
+from repro.core.detector import (
+    DetectorConfig,
+    DynamicPeriodicityDetector,
+    exact_sample_bound,
+)
 from repro.kernels import numpy_backend
+from repro.service.soa import MagnitudeSoABank
+from test_event_advance_counts import arg_types
 
 TINY = np.finfo(np.float64).tiny  # smallest normal; /8 gives denormals
 
@@ -57,6 +67,39 @@ magnitude_sample = st.one_of(
 )
 
 
+def magnitude_ext(data, rows, width, window):
+    """``rows`` x ``width`` samples: adversarial floats, and exact
+    integers up to (and just past) the detectors' exact bound."""
+    bound = int(exact_sample_bound(window))
+    sample = st.one_of(
+        magnitude_sample,
+        st.integers(min_value=-bound, max_value=bound).map(float),
+        st.sampled_from([bound, -bound, bound + 1]).map(float),
+    )
+    return np.array(
+        data.draw(
+            st.lists(
+                st.lists(sample, min_size=width, max_size=width),
+                min_size=rows,
+                max_size=rows,
+            )
+        ),
+        dtype=np.float64,
+    ).reshape(rows, width)
+
+
+def assert_matches_amdf_oracle(sums, ext, fill, window):
+    """Advance ``sums`` in place and hold every row to the oracle."""
+    start = sums.copy()
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is NaN
+        kernels.magnitude_advance_sums(sums, ext, fill, window)
+    for row, got in enumerate(sums):
+        expected = amdf_oracle.advance(
+            start[row], ext[row, :fill], ext[row, fill:], window
+        )
+        assert amdf_oracle.same_bits(got, expected), row
+
+
 class TestMagnitudeKernel:
     @settings(
         max_examples=150,
@@ -66,22 +109,11 @@ class TestMagnitudeKernel:
     @given(data=st.data())
     def test_matches_numpy_reference(self, backend, data):
         window = data.draw(st.integers(min_value=2, max_value=24), label="window")
-        top = data.draw(st.integers(min_value=1, max_value=window), label="top")
+        top = data.draw(st.integers(min_value=1, max_value=window - 1), label="top")
+        fill = data.draw(st.integers(min_value=0, max_value=window), label="fill")
         length = data.draw(st.integers(min_value=1, max_value=window), label="length")
         streams = data.draw(st.integers(min_value=1, max_value=4), label="streams")
-        ext = np.array(
-            data.draw(
-                st.lists(
-                    st.lists(
-                        magnitude_sample,
-                        min_size=window + length,
-                        max_size=window + length,
-                    ),
-                    min_size=streams,
-                    max_size=streams,
-                )
-            )
-        )
+        ext = magnitude_ext(data, streams, fill + length, window)
         sums = np.array(
             data.draw(
                 st.lists(
@@ -94,9 +126,55 @@ class TestMagnitudeKernel:
         expected = sums.copy()
         got = sums.copy()
         with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is NaN
-            numpy_backend.magnitude_advance_sums(expected, ext, window, length)
-            backend.magnitude_advance_sums(got, ext, window, length)
+            numpy_backend.magnitude_advance_sums(expected, ext, fill, window)
+            backend.magnitude_advance_sums(got, ext, fill, window)
         np.testing.assert_array_equal(got, expected)
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_matches_the_literal_oracle(self, kernel_backend, data):
+        # Filling and full rings, chunks that cross the full window,
+        # max_lag below window - 1, and arbitrary starting sums.
+        window = data.draw(st.integers(min_value=2, max_value=20), label="window")
+        top = data.draw(st.integers(min_value=1, max_value=window - 1), label="top")
+        fill = data.draw(st.integers(min_value=0, max_value=window), label="fill")
+        length = data.draw(st.integers(min_value=1, max_value=window), label="length")
+        rows = data.draw(st.integers(min_value=1, max_value=3), label="rows")
+        ext = magnitude_ext(data, rows, fill + length, window)
+        sums = np.array(
+            data.draw(
+                st.lists(
+                    st.lists(adversarial_float, min_size=top + 1, max_size=top + 1),
+                    min_size=rows,
+                    max_size=rows,
+                )
+            )
+        )
+        assert_matches_amdf_oracle(sums, ext, fill, window)
+
+    @pytest.mark.parametrize("fill", [0, 1, 5, 31, 32])
+    @pytest.mark.parametrize("top", [31, 6])
+    def test_chunk_of_one_and_of_the_cap(self, kernel_backend, fill, top):
+        rng = np.random.default_rng(fill * 100 + top)
+        window, rows = 32, 3
+        cap = min(window, kernels.chunk_columns(rows, top))
+        for length in (1, cap):
+            ext = rng.normal(size=(rows, fill + length))
+            ext[0] = np.round(ext[0] * 1000)  # an exact-integer row
+            assert_matches_amdf_oracle(np.zeros((rows, top + 1)), ext, fill, window)
+
+    def test_non_finite_and_signed_zero_samples(self, kernel_backend):
+        window = 6
+        row = [0.0, -0.0, np.nan, 1.0, np.inf, -np.inf, TINY / 8, -0.0, 2.0, np.inf]
+        ext = np.array([row, row[::-1]])
+        for fill in (0, 3, window):
+            assert_matches_amdf_oracle(
+                np.zeros((2, window)), ext[:, : fill + 4], fill, window
+            )
 
 
 class TestEventKernel:
@@ -223,3 +301,31 @@ class TestSelectionKernel:
         got = backend.select_periods_batch_impl(P, 1, 0.25, 0.15)
         for g, e in zip(got, expected):
             np.testing.assert_array_equal(g, e)
+
+
+def test_magnitude_engines_call_with_the_warmup_signature(kernel_backend, monkeypatch):
+    # The magnitude twin of test_event_advance_counts' signature test:
+    # numba would compile a second specialisation inside the first
+    # ingest for any other array layout or scalar kind.
+    impl = kernels._resolve()
+    seen = []
+    kernel = impl.magnitude_advance_sums
+
+    def recording(*args):
+        seen.append(arg_types(args))
+        kernel(*args)
+
+    monkeypatch.setattr(impl, "magnitude_advance_sums", recording)
+    monkeypatch.setattr(kernels, "_warmed", set())
+    kernels.warmup()
+    (compiled,) = seen
+    config = DetectorConfig(window_size=16, evaluation_interval=4)
+    stream = np.arange(40.0) % 5
+    DynamicPeriodicityDetector(config).update_batch(stream[:20])
+    bank = MagnitudeSoABank(["a", "b", "c"], config)
+    matrix = np.stack([stream, stream + 1, stream * 2])
+    bank.process(matrix[:, :20])  # fresh: fills the window mid-run
+    assert bank._chunk_cap > 3
+    bank.process(matrix[:, 20:23])  # full window, a chunk below the cap
+    assert len(seen) >= 25
+    assert set(seen) == {compiled}

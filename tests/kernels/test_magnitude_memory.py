@@ -25,7 +25,7 @@ def _peak_bytes(length: int) -> int:
     sums = np.zeros((ROWS, LAGS + 1))
     tracemalloc.start()
     try:
-        numpy_backend.magnitude_advance_sums(sums, ext, WINDOW, length)
+        numpy_backend.magnitude_advance_sums(sums, ext, WINDOW, WINDOW)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,11 +1,13 @@
 """Tests for the multi-stream detection service (DetectorPool)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core.detector import DetectorConfig, DynamicPeriodicityDetector
 from repro.core.events import EventDetectorConfig, EventPeriodicityDetector
-from repro.service.events import PeriodStartEvent
+from repro.service.events import PeriodStartEvent, PoolStats
 from repro.service.pool import DetectorPool, PoolConfig
 from repro.traces.synthetic import noisy_periodic_signal, periodic_signal, repeat_pattern
 from repro.util.validation import ValidationError
@@ -273,3 +275,22 @@ class TestRegressions:
         assert iface.detector.window_size == 64
         assert iface.current_period == 3
         assert pool.current_period("mine") == 3
+
+
+def test_pool_stats_merge_sums_counters_and_labels_agreement():
+    part = PoolStats(
+        streams=2,
+        created=3,
+        evicted=1,
+        total_samples=10,
+        total_events=4,
+        locked_streams=1,
+        mode="event",
+        lockstep_backend="soa",
+        kernel_backend="numpy",
+    )
+    other = replace(part, lockstep_backend=None, kernel_backend="numba")
+    assert PoolStats.merge([part, other]) == PoolStats(
+        4, 6, 2, 20, 8, 2, "event", "soa", "mixed"
+    )
+    assert PoolStats.merge([]) == PoolStats(0, 0, 0, 0, 0, 0, None, None, None)

@@ -17,6 +17,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
+import _amdf_oracle as amdf_oracle
 from repro.core.detector import DetectorConfig, DynamicPeriodicityDetector
 from repro.core.engine import SNAPSHOT_VERSION, make_engine
 from repro.core.events import EventDetectorConfig, EventPeriodicityDetector
@@ -122,6 +123,14 @@ class TestBankRoundtrip:
             (r.index, r.period, r.is_period_start) for r in roundtripped.process(tail)
         ]
         assert got_results == expected_results
+        # Both hops kept the running sums of the literal recurrence.
+        expected_sums = amdf_oracle.stream_sums(
+            np.concatenate((traces[1], tail)),
+            config.window_size,
+            config.effective_max_lag,
+            config.refresh_interval,
+        )
+        assert amdf_oracle.same_bits(roundtripped.snapshot()["sums"], expected_sums)
 
     def test_event_bank_engine_bank(self):
         config = EventDetectorConfig(window_size=32)

@@ -3,11 +3,18 @@
 import numpy as np
 import pytest
 
+import _amdf_oracle as amdf_oracle
 from repro.core.detector import DetectorConfig, DynamicPeriodicityDetector
 from repro.core.window import AdaptiveWindowPolicy
 from repro.service.soa import MagnitudeSoABank
 from repro.traces.synthetic import noisy_periodic_signal, periodic_signal
 from repro.util.validation import ValidationError
+
+
+def oracle_sums(config, trace):
+    return amdf_oracle.stream_sums(
+        trace, config.window_size, config.effective_max_lag, config.refresh_interval
+    )
 
 
 def reference_starts(config, trace):
@@ -66,6 +73,8 @@ class TestEquivalence:
             assert got == expected, pos
             assert bank.current_period(pos) == det.current_period
             assert bank.detected_periods(pos) == det.detected_periods
+            sums = bank.snapshot_stream(pos)["sums"]
+            assert amdf_oracle.same_bits(sums, oracle_sums(config, trace)), pos
 
     def test_profiles_match_standalone(self):
         config = DetectorConfig(window_size=32, refresh_interval=13)
@@ -150,6 +159,8 @@ class TestChunkedProcess:
             assert np.array_equal(snap_bank["buffer"], snap_det["buffer"])
             assert snap_bank["lock"] == snap_det["lock"]
             assert snap_bank["since_refresh"] == snap_det["since_refresh"]
+            expected_sums = oracle_sums(config, trace)
+            assert amdf_oracle.same_bits(snap_bank["sums"], expected_sums), pos
 
     def test_step_and_process_interleave(self, kernel_backend):
         # Mixing the per-step compat path with chunked process() calls on
@@ -176,6 +187,18 @@ class TestChunkedProcess:
         assert np.array_equal(
             mixed.snapshot_stream(0)["sums"], straight.snapshot_stream(0)["sums"]
         )
+
+    def test_a_fresh_bank_never_steps(self, monkeypatch):
+        # process() advances a filling window in chunks too; step() is
+        # only process() on one column, never the other way round.
+        def no_step(self, values):
+            raise AssertionError("process() called step()")
+
+        monkeypatch.setattr(MagnitudeSoABank, "step", no_step)
+        config = DetectorConfig(window_size=32, evaluation_interval=4)
+        bank = MagnitudeSoABank(["a", "b"], config)
+        trace = periodic_signal(5, 100, seed=3)
+        assert bank.process(np.stack([trace, trace]))
 
     def test_profiles_returns_a_safe_copy(self):
         config = DetectorConfig(window_size=16)

@@ -9,7 +9,8 @@ mid-run must still equal per-stream engines bit for bit, through both
 import numpy as np
 import pytest
 
-import repro.service.soa as soa_module
+import _amdf_oracle as amdf_oracle
+import repro.core.detector as detector_module
 from repro.core.detector import DetectorConfig, DynamicPeriodicityDetector
 from repro.service.soa import MagnitudeSoABank
 
@@ -53,6 +54,10 @@ def assert_bank_equals_engines(bank, raw, matrix, config):
         assert bits(snap_bank["sums"]) == bits(snap_det["sums"])
         assert snap_bank["since_refresh"] == snap_det["since_refresh"]
         assert snap_bank["lock"] == snap_det["lock"]
+        expected = amdf_oracle.stream_sums(
+            trace, config.window_size, config.effective_max_lag, config.refresh_interval
+        )
+        assert amdf_oracle.same_bits(snap_bank["sums"], expected), pos
 
 
 def bits(array):
@@ -68,15 +73,16 @@ def step_all(bank, matrix):
 
 @pytest.fixture
 def recomputed_rows(monkeypatch):
-    """Row counts of the recomputes the bank actually executes."""
+    """Row counts of the recomputes the bank actually executes (through
+    ``AmdfRows._refresh_rows``, the detector module's one refresh)."""
     calls = []
-    real = soa_module.amdf_pair_sums_batch
+    real = detector_module.amdf_pair_sums_batch
 
     def counting(windows, max_lag=None):
         calls.append(windows.shape[0])
         return real(windows, max_lag)
 
-    monkeypatch.setattr(soa_module, "amdf_pair_sums_batch", counting)
+    monkeypatch.setattr(detector_module, "amdf_pair_sums_batch", counting)
     return calls
 
 
